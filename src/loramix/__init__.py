@@ -4,7 +4,7 @@ plus the retrieval, curation, and evaluation pipeline around them.
 
 __version__ = "0.1.0"
 
-from .adapter import GatingDecision, LoraExpert, MixtureFfn, Router
+from .adapter import LoraExpert, MixtureFfn, Router
 from .baseline import SingleLoraFfn
 from .model import (AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig,
                     build_frozen_model)
@@ -18,7 +18,6 @@ __all__ = [
     "CorpusIndex",
     "EvalConfig",
     "EvalReport",
-    "GatingDecision",
     "LoraExpert",
     "MixtureFfn",
     "RetrievalConfig",

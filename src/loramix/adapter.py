@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, StateError
-from .numerics import as_matrix, as_vector, softmax, softmax_rows
+from .errors import ShapeError
+from .numerics import as_matrix, softmax_rows
 
 Array = np.ndarray
 
 
-def _silu(x: Array) -> Array:
+def silu(x: Array) -> Array:
     return x / (1.0 + np.exp(-x))
 
 
-def _silu_grad(x: Array) -> Array:
+def silu_grad(x: Array) -> Array:
     s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
@@ -76,16 +76,6 @@ class LoraExpert:
         return cls(down=down, up=up, rank=rank, alpha=alpha)
 
 
-def expert_forward(expert: LoraExpert, x) -> Array:
-    """Delta vector contributed by one expert for input x."""
-    x = as_vector(x, "expert input")
-    if x.shape[0] != expert.d_in:
-        raise ShapeError(
-            f"expert expects input of length {expert.d_in}, got {x.shape[0]}"
-        )
-    return expert.scale * (expert.up @ (expert.down @ x))
-
-
 @dataclass
 class Router:
     """Linear scorer over experts: one weight column per expert."""
@@ -104,62 +94,26 @@ class Router:
         return self.weights.shape[0]
 
 
-def gate(router: Router, x) -> Array:
-    """Softmax-normalized expert scores for one input vector.
+def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
+    """Top-k routing of a stack of router logits, one row per input.
 
-    A zero weight matrix yields the uniform distribution, and adding a
-    constant to all pre-softmax logits leaves the scores unchanged up to
-    rounding.
+    Returns `full`, the softmax over every expert; `order`, the k
+    selected expert indices per row in descending score order, ties
+    going to the lower index; `denom`, the selected scores' sum per row;
+    and `mix`, the selected scores divided by `denom` at their expert
+    columns and zero elsewhere, so each row sums to one.
     """
-    x = as_vector(x, "router input")
-    if x.shape[0] != router.d_in:
-        raise ShapeError(
-            f"router expects input of length {router.d_in}, got {x.shape[0]}"
-        )
-    return softmax(router.weights.T @ x)
-
-
-@dataclass
-class GatingDecision:
-    """Top-k selection over a full score vector.
-
-    `selected` holds (expert index, renormalized weight) pairs in
-    descending score order; `full_scores` keeps the untruncated softmax
-    output for inspection.
-    """
-
-    selected: list[tuple[int, float]]
-    full_scores: Array
-
-    @property
-    def indices(self) -> list[int]:
-        return [i for i, _ in self.selected]
-
-    @property
-    def weights(self) -> list[float]:
-        return [w for _, w in self.selected]
-
-
-def select_top_k(scores, k: int) -> GatingDecision:
-    """Keep the k largest scores and renormalize them to sum to one.
-
-    Ties break toward the lower expert index. The input is expected to be
-    a softmax output, so all entries are positive and the renormalizing
-    denominator cannot vanish.
-    """
-    scores = as_vector(scores, "gate scores")
-    n = scores.shape[0]
+    n = logits.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    full = softmax_rows(logits)
     # Stable argsort on negated scores: equal scores keep index order.
-    order = np.argsort(-scores, kind="stable")[:k]
-    picked = scores[order]
-    total = picked.sum()
-    weights = picked / total
-    return GatingDecision(
-        selected=[(int(i), float(w)) for i, w in zip(order, weights)],
-        full_scores=scores,
-    )
+    order = np.argsort(-full, axis=1, kind="stable")[:, :k]
+    picked = np.take_along_axis(full, order, axis=1)
+    denom = picked.sum(axis=1, keepdims=True)
+    mix = np.zeros_like(full)
+    np.put_along_axis(mix, order, picked / denom, axis=1)
+    return full, order, denom, mix
 
 
 class MixtureFfn:
@@ -200,7 +154,6 @@ class MixtureFfn:
         self.experts = experts
         self.router = router
         self.top_k = top_k
-        self._cached: tuple[Array, dict] | None = None
 
     @property
     def d_in(self) -> int:
@@ -223,13 +176,8 @@ class MixtureFfn:
             raise ShapeError(
                 f"layer expects rows of length {self.d_in}, got {x_rows.shape[1]}"
             )
-        logits = x_rows @ self.router.weights            # (N, n)
-        full = softmax_rows(logits)
-        order = np.argsort(-full, axis=1, kind="stable")[:, : self.top_k]
-        picked = np.take_along_axis(full, order, axis=1)
-        denom = picked.sum(axis=1, keepdims=True)
-        mix = np.zeros_like(full)
-        np.put_along_axis(mix, order, picked / denom, axis=1)
+        full, order, denom, mix = route_rows(x_rows @ self.router.weights,
+                                             self.top_k)
 
         hidden = x_rows @ self.w1.T                      # (N, d_ff)
         rank_proj: list[Array] = []
@@ -240,7 +188,7 @@ class MixtureFfn:
             rank_proj.append(p)
             deltas.append(d)
             hidden = hidden + mix[:, i : i + 1] * d
-        act = _silu(hidden)
+        act = silu(hidden)
         out = act @ self.w2.T
         cache = {
             "x": x_rows, "full": full, "order": order, "denom": denom,
@@ -262,7 +210,7 @@ class MixtureFfn:
         mix, hidden = cache["mix"], cache["hidden"]
 
         d_act = upstream_rows @ self.w2                  # (N, d_ff)
-        d_hidden = d_act * _silu_grad(hidden)
+        d_hidden = d_act * silu_grad(hidden)
         d_x = d_hidden @ self.w1
 
         grads: dict[str, Array] = {}
@@ -291,37 +239,6 @@ class MixtureFfn:
         d_x = d_x + d_logits @ self.router.weights.T
         return d_x, grads
 
-    # -- single-vector contract surface --------------------------------------
-
-    def forward(self, x) -> Array:
-        """Layer output for one input vector; caches for `gradients`."""
-        x = as_vector(x, "layer input")
-        out, cache = self.forward_rows(x[np.newaxis, :])
-        self._cached = (x.copy(), cache)
-        return out[0]
-
-    def gradients(self, x, upstream) -> dict[str, Array]:
-        """Parameter gradients for the most recent `forward` on x.
-
-        `upstream` is the loss gradient at the layer output. Raises if no
-        forward has been run, or the cached input differs from x.
-        """
-        x = as_vector(x, "layer input")
-        upstream = as_vector(upstream, "upstream gradient")
-        if upstream.shape[0] != self.d_in:
-            raise ShapeError(
-                f"upstream gradient must have length {self.d_in}, "
-                f"got {upstream.shape[0]}"
-            )
-        if self._cached is None:
-            raise StateError("gradients requested before any forward pass")
-        cached_x, cache = self._cached
-        if cached_x.shape != x.shape or not np.array_equal(cached_x, x):
-            raise StateError("gradients requested for an input that was not "
-                             "the last forward input")
-        _, grads = self.backward_rows(cache, upstream[np.newaxis, :])
-        return grads
-
     # -- parameter access and persistence ------------------------------------
 
     def trainable(self) -> dict[str, Array]:
@@ -346,7 +263,6 @@ class MixtureFfn:
                 field_name = name.split(".")[1]
                 setattr(self.experts[idx], field_name,
                         np.asarray(value, dtype=np.float64))
-        self._cached = None
 
     def to_payload(self) -> dict:
         """Serializable description of the adapter state (not the base)."""
@@ -378,7 +294,6 @@ class MixtureFfn:
             e.up = up
         self.router.weights = np.asarray(payload["router"]["w_g"],
                                          dtype=np.float64)
-        self._cached = None
 
 
 def build_mixture(d_in: int, d_ff: int, w1: Array, w2: Array, n_experts: int,

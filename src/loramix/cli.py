@@ -304,14 +304,7 @@ def cmd_report(cfg: dict, mode: str) -> int:
     path = Path(cfg["paths"]["reports"]) / f"{mode}_report.json"
     if not path.is_file():
         raise ConfigError(f"no saved report at {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    report = EvalReport(mode=data["mode"], record_count=data["record_count"],
-                        scenario_counts=data["scenario_counts"],
-                        faith=data["faith"], filter=data["filter"],
-                        rr=data["rr"], ra_open=data["ra_open"],
-                        ra_closed=data["ra_closed"], qr=data["qr"],
-                        fl=data["fl"], partial=data["partial"],
-                        failures=data["failures"])
+    report = EvalReport.from_json(path.read_text(encoding="utf-8"))
     print(report.to_table())
     return 0
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,9 +26,9 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from . import prompts
-from .errors import ClientError, ConfigError, FormatError
+from .errors import ConfigError, FormatError
 from .retrieval import (CorpusIndex, Embedder, RetrievalConfig,
-                        build_corpus_index)
+                        build_corpus_index, post_with_retries)
 
 
 @dataclass
@@ -103,26 +101,13 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {key}"
         body = json.dumps({"model": self.model,
                            "messages": messages}).encode("utf-8")
-        raw = _post(self.endpoint, body, headers, self.timeout, self.retries)
+        raw = post_with_retries(self.endpoint, body, self.timeout,
+                                self.retries, headers)
         try:
             payload = json.loads(raw)
             return payload["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise FormatError(f"bad chat response: {exc}", payload=raw) from exc
-
-
-def _post(url: str, body: bytes, headers: dict[str, str], timeout: float,
-          retries: int) -> str:
-    last: Exception | None = None
-    for _ in range(retries + 1):
-        req = urllib.request.Request(url, data=body, headers=headers,
-                                     method="POST")
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.read().decode("utf-8")
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            last = exc
-    raise ClientError(f"POST {url} failed after {retries + 1} attempts: {last}")
 
 
 _SENTENCE_END = re.compile(r"[.!?]")

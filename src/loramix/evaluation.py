@@ -16,7 +16,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -344,20 +344,24 @@ class EvalReport:
     failures: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "record_count": self.record_count,
-            "scenario_counts": self.scenario_counts,
-            "faith": self.faith,
-            "filter": self.filter,
-            "rr": self.rr,
-            "ra_open": self.ra_open,
-            "ra_closed": self.ra_closed,
-            "qr": self.qr,
-            "fl": self.fl,
-            "partial": self.partial,
-            "failures": self.failures,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "EvalReport":
+        """Inverse of `to_json`; every field must be present, no others."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"report is not valid JSON: {exc}",
+                              payload=text) from exc
+        if not isinstance(data, dict):
+            raise FormatError("report root must be a JSON object", payload=text)
+        names = {f.name for f in fields(cls)}
+        missing, unknown = names - data.keys(), data.keys() - names
+        if missing or unknown:
+            raise FormatError(f"report keys: missing {sorted(missing)}, "
+                              f"unknown {sorted(unknown)}", payload=text)
+        return cls(**data)
 
     def to_table(self) -> str:
         """Aligned text table; absent metrics render as a dash."""
@@ -470,9 +474,8 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
                           else score_filter)
                 try:
                     value = scorer(record, cfg.judges[0], cfg.index.text_of)
-                except EvaluationError as exc:
-                    note_failure(i, exc)
-                except (ConfigError, FormatError, RuntimeError) as exc:
+                except (EvaluationError, ConfigError, FormatError,
+                        RuntimeError) as exc:
                     note_failure(i, exc)
                 else:
                     if scenarios[i] is Scenario.GOLDEN_CONTEXT:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .adapter import MixtureFfn, build_mixture
+from .adapter import MixtureFfn, build_mixture, silu, silu_grad
 from .baseline import SingleLoraFfn, build_single_lora
 from .errors import ConfigError, ShapeError
 from .numerics import softmax_rows
@@ -105,15 +105,11 @@ class FrozenFfn:
 
     def forward_rows(self, x_rows: Array) -> tuple[Array, dict]:
         hidden = x_rows @ self.w1.T
-        act = hidden / (1.0 + np.exp(-hidden))
-        return act @ self.w2.T, {"x": x_rows, "hidden": hidden}
+        return silu(hidden) @ self.w2.T, {"x": x_rows, "hidden": hidden}
 
     def backward_rows(self, cache: dict, upstream_rows: Array
                       ) -> tuple[Array, dict[str, Array]]:
-        hidden = cache["hidden"]
-        sig = 1.0 / (1.0 + np.exp(-hidden))
-        d_act = upstream_rows @ self.w2
-        d_hidden = d_act * (sig * (1.0 + hidden * (1.0 - sig)))
+        d_hidden = (upstream_rows @ self.w2) * silu_grad(cache["hidden"])
         return d_hidden @ self.w1, {}
 
     def trainable(self) -> dict[str, Array]:

@@ -1,4 +1,4 @@
-"""Float64 numeric substrate: checked matmul, stable softmax, cosine, Adam.
+"""Float64 numeric substrate: stable softmax, cosine, Adam.
 
 These are the contract-carrying entry points. Hot loops elsewhere in the
 package call numpy directly on arrays that have already been validated
@@ -30,41 +30,13 @@ def as_matrix(m, name: str = "matrix") -> Array:
     return arr
 
 
-def matmul(a, b) -> Array:
-    """Matrix product with explicit shape and finiteness checks."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    if not np.isfinite(a).all() or not np.isfinite(b).all():
-        raise ValueError("matmul operands must be finite")
-    return a @ b
-
-
-def softmax(v) -> Array:
-    """Stable softmax of a non-empty 1-D vector.
-
-    The maximum entry is subtracted before exponentiation, so the result
-    is invariant (to rounding) under adding a constant to every entry.
-    """
-    arr = as_vector(v, "softmax input")
-    if arr.size == 0:
-        raise ShapeError("softmax input must be non-empty")
-    if not np.isfinite(arr).all():
-        raise ValueError("softmax input must be finite")
-    return _softmax_last(arr)
-
-
 def softmax_rows(m: Array) -> Array:
-    """Row-wise softmax. Rows may contain -inf (masked positions)."""
-    return _softmax_last(m)
+    """Stable softmax along the last axis. Rows may contain -inf (masked).
 
-
-def _softmax_last(x: Array) -> Array:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    The row maximum is subtracted before exponentiation, so the result is
+    invariant (to rounding) under adding a constant to every entry.
+    """
+    shifted = m - np.max(m, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
 

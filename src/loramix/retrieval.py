@@ -180,9 +180,9 @@ class HttpEmbedderClient:
         if not text:
             raise ValueError("cannot embed empty text")
         body = json.dumps({"text": text}).encode("utf-8")
-        raw = _post_with_retries(self.endpoint, body, self.timeout,
-                                 self.retries,
-                                 headers={"Content-Type": "application/json"})
+        raw = post_with_retries(self.endpoint, body, self.timeout,
+                                self.retries,
+                                headers={"Content-Type": "application/json"})
         try:
             payload = json.loads(raw)
             vec = np.asarray(payload["embedding"], dtype=np.float64)
@@ -196,8 +196,13 @@ class HttpEmbedderClient:
         return vec
 
 
-def _post_with_retries(url: str, body: bytes, timeout: float, retries: int,
-                       headers: dict[str, str]) -> str:
+def post_with_retries(url: str, body: bytes, timeout: float, retries: int,
+                      headers: dict[str, str]) -> str:
+    """POST `body` and return the decoded response body.
+
+    Transport failures are retried; after `retries + 1` failed attempts
+    the last one surfaces as ClientError.
+    """
     last: Exception | None = None
     for _ in range(retries + 1):
         req = urllib.request.Request(url, data=body, headers=headers,

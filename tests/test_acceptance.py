@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from loramix.adapter import LoraExpert, MixtureFfn, Router, gate, select_top_k
+from loramix.adapter import LoraExpert, MixtureFfn, Router, route_rows
 from loramix.evaluation import (EvalConfig, RaWeights, StubJudge,
                                 classify_scenario, compute_ra, compute_rr,
                                 evaluate)
@@ -76,19 +76,23 @@ def test_criterion_02_gradient_audit():
                        rng.standard_normal((4, 8)),
                        experts, Router(weights=rng.standard_normal((4, 3))),
                        top_k=2)
-    x = rng.standard_normal(4)
-    upstream = rng.standard_normal(4)
-    layer.forward(x)
-    analytic = layer.gradients(x, upstream)
+    x_rows = rng.standard_normal((4, 4))
+    upstream = rng.standard_normal((4, 4))
+
+    def loss() -> float:
+        return float(np.sum(upstream * layer.forward_rows(x_rows)[0]))
+
+    _, cache = layer.forward_rows(x_rows)
+    _, analytic = layer.backward_rows(cache, upstream)
     eps = 1e-5
     layer_worst = 0.0
     for name, arr in layer.trainable().items():
         for idx in np.ndindex(arr.shape):
             keep = arr[idx]
             arr[idx] = keep + eps
-            up_loss = float(upstream @ layer.forward(x))
+            up_loss = loss()
             arr[idx] = keep - eps
-            dn_loss = float(upstream @ layer.forward(x))
+            dn_loss = loss()
             arr[idx] = keep
             fd = (up_loss - dn_loss) / (2 * eps)
             a = float(analytic[name][idx])
@@ -113,35 +117,55 @@ def test_criterion_03_gating_contract():
     start = time.monotonic()
     rng = np.random.default_rng(3)
     router = Router(weights=rng.standard_normal((8, 6)))
+    experts = [LoraExpert.init(8, 4, rank=1, alpha=2.0, rng=rng)
+               for _ in range(6)]
+    layer = MixtureFfn(rng.standard_normal((4, 8)), rng.standard_normal((8, 4)),
+                       experts, router, top_k=1)
+    x_rows = rng.standard_normal((10_000, 8))
+    logits = x_rows @ router.weights
+
+    # Adding a constant to every logit must not move the scores.
+    shifted = logits + 7.5
+    stable = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    stable = stable / stable.sum(axis=1, keepdims=True)
+
+    # Oracle: sort each row by (-score, index), then renormalize.
+    scores, _, _, _ = route_rows(logits, 1)
+    oracle = np.array([sorted(range(6), key=lambda i: (-row[i], i))
+                       for row in scores.tolist()])
+
     worst_sum = 0.0
     worst_shift = 0.0
     mismatches = 0
-    for _ in range(10_000):
-        x = rng.standard_normal(8)
-        scores = gate(router, x)
-        worst_sum = max(worst_sum, abs(float(scores.sum()) - 1.0))
-        assert np.all(scores >= 0.0)
+    cache_differs = 0
+    for k in range(1, 7):
+        full, order, denom, mix = route_rows(logits, k)
+        assert np.all(full >= 0.0)
+        worst_sum = max(worst_sum, float(np.max(np.abs(full.sum(axis=1) - 1.0))),
+                        float(np.max(np.abs(mix.sum(axis=1) - 1.0))))
+        worst_shift = max(worst_shift, float(np.max(np.abs(full - stable))))
 
-        k = int(rng.integers(1, 7))
-        decision = select_top_k(scores, k)
-        order = sorted(range(6), key=lambda i: (-scores[i], i))[:k]
-        total = sum(scores[i] for i in order)
-        if decision.indices != order:
-            mismatches += 1
-        for (_, w), j in zip(decision.selected, order):
-            if abs(w - scores[j] / total) > 1e-15:
-                mismatches += 1
+        want = oracle[:, :k]
+        mismatches += int(np.sum(np.any(order != want, axis=1)))
+        picked = np.take_along_axis(full, want, axis=1)
+        totals = np.array([sum(row) for row in picked.tolist()])
+        want_mix = np.zeros_like(full)
+        np.put_along_axis(want_mix, want, picked / totals[:, None], axis=1)
+        mismatches += int(np.sum(np.abs(mix - want_mix) > 1e-15))
 
-        # Adding a constant to every logit must not move the scores.
-        logits = router.weights.T @ x + 7.5
-        stable = np.exp(logits - logits.max())
-        stable = stable / stable.sum()
-        worst_shift = max(worst_shift,
-                          float(np.max(np.abs(scores - stable))))
-    ok = worst_sum <= 1e-12 and mismatches == 0 and worst_shift <= 1e-12
+        # The layer must route with exactly this function.
+        layer.top_k = k
+        _, cache = layer.forward_rows(x_rows)
+        cache_differs += sum(not np.array_equal(cache[name], value)
+                             for name, value in (("order", order),
+                                                 ("denom", denom),
+                                                 ("mix", mix)))
+    ok = (worst_sum <= 1e-12 and mismatches == 0 and worst_shift <= 1e-12
+          and cache_differs == 0)
     report(3, "gating contract", ok,
            f"simplex err {worst_sum:.1e}, top-k mismatches {mismatches}, "
-           f"shift err {worst_shift:.1e} over 10,000 inputs",
+           f"shift err {worst_shift:.1e} over 10,000 inputs x k=1..6, "
+           f"layer cache {'differs' if cache_differs else 'bitwise equal'}",
            time.monotonic() - start, budget=10.0)
 
 

@@ -189,6 +189,10 @@ class TestReportCommand:
         assert run(cfg, "report", "--mode", "closed") == 0
         assert "RA-closed" in capsys.readouterr().out
 
+        (tmp_path / "reports" / "closed_report.json").write_text(
+            '{"mode": "closed", "record_count": 1}\n', encoding="utf-8")
+        assert run(cfg, "report", "--mode", "closed") == 2
+
     def test_missing_report_exits_two(self, tmp_path):
         cfg = make_workspace(tmp_path)
         assert run(cfg, "report", "--mode", "open") == 2

@@ -1,11 +1,14 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
-from loramix.curation import (QaRecord, StubGenerator, curate, first_sentence,
-                              generate_ground_truth, generate_question,
-                              load_records, save_records)
-from loramix.errors import FormatError
+from loramix.curation import (HttpChatClient, QaRecord, StubGenerator, curate,
+                              first_sentence, generate_ground_truth,
+                              generate_question, load_records, save_records)
+from loramix.errors import ClientError, FormatError
 from loramix.retrieval import RetrievalConfig, TrigramEmbedder
 
 
@@ -38,6 +41,42 @@ class FixedGenerator:
 
     def complete(self, messages):
         return self.payload
+
+
+class FlakyUrlopen:
+    """Stands in for urllib.request.urlopen: fails `failures` times, then
+    answers with `body`."""
+
+    def __init__(self, failures: int, body: bytes):
+        self.failures = failures
+        self.body = body
+        self.attempts = 0
+
+    def __call__(self, req, timeout):
+        self.attempts += 1
+        if self.attempts <= self.failures:
+            raise urllib.error.URLError("connection refused")
+        return io.BytesIO(self.body)
+
+
+class TestHttpChatClient:
+    MESSAGES = [{"role": "user", "content": "hi"}]
+
+    def test_gives_up_after_retries_plus_one_attempts(self, monkeypatch):
+        urlopen = FlakyUrlopen(failures=10, body=b"")
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        client = HttpChatClient("http://localhost:9/chat", retries=2)
+        with pytest.raises(ClientError, match="after 3 attempts"):
+            client.complete(self.MESSAGES)
+        assert urlopen.attempts == 3
+
+    def test_success_on_a_later_attempt_returns_the_body(self, monkeypatch):
+        body = json.dumps({"choices": [{"message": {"content": "answer"}}]})
+        urlopen = FlakyUrlopen(failures=2, body=body.encode("utf-8"))
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        client = HttpChatClient("http://localhost:9/chat", retries=2)
+        assert client.complete(self.MESSAGES) == "answer"
+        assert urlopen.attempts == 3
 
 
 class TestStubGenerator:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loramix.curation import QaRecord, StubGenerator
-from loramix.errors import ConfigError, EvaluationError
+from loramix.errors import ConfigError, EvaluationError, FormatError
 from loramix.evaluation import (EvalConfig, EvalReport, RaWeights, Scenario,
                                 StubJudge, classify_scenario, compute_fl,
                                 compute_qr, compute_ra, compute_rr,
@@ -439,6 +439,19 @@ class TestEvalReport:
         assert data["record_count"] == 6
         assert data["scenario_counts"]["golden_context"] == 2
         assert json.loads(report.to_json()) == data
+        again = EvalReport.from_json(report.to_json())
+        assert again == report
+        assert again.to_json() == report.to_json()
+
+    def test_from_json_rejects_missing_and_unknown_keys(self):
+        full = json.loads(EvalReport(mode="open", record_count=1,
+                                     scenario_counts={}).to_json())
+        with pytest.raises(FormatError, match="missing"):
+            EvalReport.from_json('{"mode": "open", "record_count": 1}')
+        with pytest.raises(FormatError, match="unknown"):
+            EvalReport.from_json(json.dumps({**full, "extra": 1}))
+        with pytest.raises(FormatError):
+            EvalReport.from_json("[]")
 
     def test_table_shows_dashes_for_absent(self, embedder):
         report = evaluate(designed_records(), CannedModel(), "closed",
