@@ -134,6 +134,18 @@ def _rms_backward(x: Array, gain: Array, rms: Array, d_out: Array) -> Array:
     return gd / rms - x * inner / (d * rms**3)
 
 
+@dataclass(frozen=True)
+class KvCache:
+    """Per-layer attention keys and values of a sequence's first positions."""
+
+    keys: tuple[Array, ...] = ()
+    values: tuple[Array, ...] = ()
+
+    @property
+    def length(self) -> int:
+        return self.keys[0].shape[0] if self.keys else 0
+
+
 class Block:
     def __init__(self, g_attn: Array, wq: Array, wk: Array, wv: Array,
                  wo: Array, g_ffn: Array, ffn):
@@ -230,13 +242,13 @@ class ToyCausalLm:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _check_tokens(self, tokens: list[int]) -> np.ndarray:
+    def _check_tokens(self, tokens: list[int], start: int) -> np.ndarray:
         arr = np.asarray(tokens, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("token sequence must be a non-empty 1-D list")
-        if arr.size > self.cfg.max_seq_len:
+        if start + arr.size > self.cfg.max_seq_len:
             raise ValueError(
-                f"sequence length {arr.size} exceeds max_seq_len "
+                f"sequence length {start + arr.size} exceeds max_seq_len "
                 f"{self.cfg.max_seq_len}"
             )
         if arr.min() < 0 or arr.max() >= self.cfg.vocab_size:
@@ -244,23 +256,42 @@ class ToyCausalLm:
                              f"{self.cfg.vocab_size}")
         return arr
 
-    def forward(self, tokens: list[int], with_cache: bool = False):
-        """Logits (seq_len, vocab) for one sequence; optionally keep caches."""
-        ids = self._check_tokens(tokens)
+    def forward(self, tokens: list[int], with_cache: bool = False,
+                past: KvCache | None = None):
+        """Logits (seq_len, vocab) for one sequence; optionally keep caches.
+
+        With `past`, the tokens continue the prefix whose keys and values
+        it holds: they take positions `past.length` onward, attend over
+        the prefix as well, and the call returns `(logits, kv)` with `kv`
+        extended by the new positions. `KvCache()` starts from nothing.
+        The backward cache needs the whole sequence, so `with_cache`
+        excludes `past`.
+        """
+        if with_cache and past is not None:
+            raise ValueError("with_cache needs the whole sequence, not a past")
+        start = 0 if past is None else past.length
+        ids = self._check_tokens(tokens, start)
         t = ids.size
         d = self.cfg.d_model
         n_heads = self.cfg.n_heads
         dh = d // n_heads
         inv_sqrt = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((t, t), -np.inf), k=1)
+        mask = np.triu(np.full((t, start + t), -np.inf), k=start + 1)
 
-        x = self.wte[ids] + self.wpe[:t]
+        x = self.wte[ids] + self.wpe[start:start + t]
         caches = []
-        for b in self.blocks:
+        keys: list[Array] = []
+        values: list[Array] = []
+        for layer, b in enumerate(self.blocks):
             a, r1 = _rms_forward(x, b.g_attn)
             q_all = a @ b.wq.T
             k_all = a @ b.wk.T
             v_all = a @ b.wv.T
+            if start:
+                k_all = np.concatenate((past.keys[layer], k_all))
+                v_all = np.concatenate((past.values[layer], v_all))
+            keys.append(k_all)
+            values.append(v_all)
             heads = []
             o = np.empty_like(a)
             for h in range(n_heads):
@@ -285,6 +316,8 @@ class ToyCausalLm:
         if with_cache:
             return logits, {"ids": ids, "blocks": caches, "x_last": x,
                             "r_final": r_final, "inv_sqrt": inv_sqrt}
+        if past is not None:
+            return logits, KvCache(tuple(keys), tuple(values))
         return logits
 
     def backward(self, cache: dict, d_logits: Array) -> dict[str, Array]:
@@ -329,17 +362,24 @@ class ToyCausalLm:
                  stop_token: int | None = NEWLINE) -> list[int]:
         """Greedy continuation; stops at the stop token or the budget.
 
-        If the prompt is longer than the context window leaves room for,
-        only its trailing window is kept.
+        The prompt is forwarded once and each emitted token then forwards
+        one new position against the cached keys and values. Positional
+        embeddings are absolute, so once the sequence outgrows the
+        context window the cache no longer applies: from then on every
+        step re-forwards the trailing window, and a prompt longer than
+        the window takes that path from the start.
         """
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         window = self.cfg.max_seq_len
         tokens = list(prompt_tokens)
         out: list[int] = []
+        kv = KvCache()
         for _ in range(max_new_tokens):
-            ctx = tokens[-window:]
-            logits = self.forward(ctx)
+            if len(tokens) <= window:
+                logits, kv = self.forward(tokens[kv.length:], past=kv)
+            else:
+                logits = self.forward(tokens[-window:])
             nxt = int(np.argmax(logits[-1]))
             if stop_token is not None and nxt == stop_token:
                 break

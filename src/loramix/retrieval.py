@@ -224,6 +224,7 @@ class VectorIndex:
         self.dim = dim
         self.ids: list[str] = []
         self._rows: list[Array] = []
+        self._matrix: Array | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -239,11 +240,15 @@ class VectorIndex:
                              f"(|v|={norm})")
         self.ids.append(chunk_id)
         self._rows.append(vec)
+        self._matrix = None
 
     def matrix(self) -> Array:
-        if not self._rows:
-            return np.zeros((0, self.dim))
-        return np.stack(self._rows)
+        """All rows stacked in insertion order; kept until the next `add`."""
+        if self._matrix is None:
+            self._matrix = (np.stack(self._rows) if self._rows
+                            else np.zeros((0, self.dim)))
+            self._matrix.setflags(write=False)
+        return self._matrix
 
 
 @dataclass
@@ -313,6 +318,7 @@ class CorpusIndex:
                 "id": cid,
                 "source_doc": chunk.source_doc,
                 "text": chunk.text,
+                "lead": chunk.lead,
                 "embedding": self.index._rows[i].tolist(),
             }, sort_keys=True))
         Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
@@ -327,14 +333,14 @@ class CorpusIndex:
             try:
                 row = json.loads(ln)
                 cid, text = row["id"], row["text"]
-                source = row["source_doc"]
+                source, lead = row["source_doc"], row["lead"]
                 vec = np.asarray(row["embedding"], dtype=np.float64)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(f"bad index row: {exc}", payload=ln) from exc
             if store is None:
                 store = cls(dim=vec.shape[0])
-            store.add_chunk(Chunk(chunk_id=cid, text=text, source_doc=source),
-                            vec)
+            store.add_chunk(Chunk(chunk_id=cid, text=text, source_doc=source,
+                                  lead=lead), vec)
         assert store is not None
         return store
 

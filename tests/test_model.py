@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
+from loramix.model import (AdapterSpec, KvCache, SingleLoraSpec, ToyCausalLm,
                            ToyModelConfig, build_frozen_model, decode_tokens,
                            encode_text)
 
@@ -87,6 +87,14 @@ class TestForward:
     def test_over_length_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.forward([0] * 17)
+        _, kv = tiny_model.forward([0] * 10, past=KvCache())
+        with pytest.raises(ValueError):
+            tiny_model.forward([0] * 7, past=kv)
+
+    def test_backward_cache_refuses_past(self, tiny_model):
+        _, kv = tiny_model.forward([1, 2], past=KvCache())
+        with pytest.raises(ValueError):
+            tiny_model.forward([3], with_cache=True, past=kv)
 
     def test_forward_is_deterministic(self, tiny_model):
         a = tiny_model.forward([5, 6, 7])
@@ -124,3 +132,105 @@ class TestGenerate:
         out = model.generate_text("Q: hi\nA: ", max_new_tokens=4)
         assert isinstance(out, str)
         assert "Q: hi" not in out
+
+
+# -- cached decoding -----------------------------------------------------------
+
+DECODE_CFG = ToyModelConfig(vocab_size=32, d_model=8, n_layers=2, n_heads=2,
+                            d_ff=16, max_seq_len=16, seed=4)
+
+
+@pytest.fixture(scope="module", params=["frozen", "single", "mixture"])
+def decode_model(request) -> ToyCausalLm:
+    """Two-layer model whose adapters (if any) carry non-zero weights."""
+    spec = {"frozen": None,
+            "single": SingleLoraSpec(rank=2, alpha=4.0),
+            "mixture": AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
+            }[request.param]
+    model = ToyCausalLm(DECODE_CFG, adapters=spec)
+    rng = np.random.default_rng(7)
+    model.apply_updates({name: rng.normal(0.0, 0.5, size=arr.shape)
+                         for name, arr in model.trainable_params().items()})
+    return model
+
+
+def greedy_oracle(model, prompt, max_new_tokens, stop_token):
+    """Independent oracle: re-forward the trailing window for every token."""
+    window = model.cfg.max_seq_len
+    tokens = list(prompt)
+    out = []
+    for _ in range(max_new_tokens):
+        nxt = int(np.argmax(model.forward(tokens[-window:])[-1]))
+        if nxt == stop_token:
+            break
+        out.append(nxt)
+        tokens.append(nxt)
+    return out
+
+
+def prompt_of(length, seed=0):
+    return [int(t) for t in
+            np.random.default_rng(seed).integers(0, DECODE_CFG.vocab_size,
+                                                 size=length)]
+
+
+class TestCachedDecode:
+    @pytest.mark.parametrize("prompt_len, max_new", [
+        (4, 6),     # well inside the window
+        (10, 12),   # crosses max_seq_len while decoding
+        (16, 5),    # fills the window exactly, then slides
+        (23, 6),    # longer than the window from the start
+    ])
+    def test_generate_matches_window_oracle(self, decode_model, prompt_len,
+                                            max_new):
+        prompt = prompt_of(prompt_len, seed=prompt_len)
+        out = decode_model.generate(prompt, max_new_tokens=max_new,
+                                    stop_token=None)
+        assert len(out) == max_new
+        assert out == greedy_oracle(decode_model, prompt, max_new, None)
+
+    def test_early_stop_matches_oracle(self, decode_model):
+        prompt = prompt_of(6, seed=1)
+        free = greedy_oracle(decode_model, prompt, 8, None)
+        stop = free[3]
+        want = greedy_oracle(decode_model, prompt, 8, stop)
+        assert len(want) <= 3
+        assert decode_model.generate(prompt, max_new_tokens=8,
+                                     stop_token=stop) == want
+
+    def test_incremental_logits_match_full_forward(self, decode_model):
+        seq = prompt_of(DECODE_CFG.max_seq_len, seed=2)
+        full = decode_model.forward(seq)
+        logits, kv = decode_model.forward(seq[:5], past=KvCache())
+        rows = [logits]
+        for tok in seq[5:]:
+            logits, kv = decode_model.forward([tok], past=kv)
+            rows.append(logits)
+        assert kv.length == len(seq)
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0,
+                                   atol=1e-12)
+
+    def test_empty_past_is_plain_forward(self, decode_model):
+        seq = prompt_of(9, seed=3)
+        plain = decode_model.forward(seq)
+        logits, kv = decode_model.forward(seq, past=KvCache())
+        cached, _ = decode_model.forward(seq, with_cache=True)
+        assert np.array_equal(logits, plain)
+        assert np.array_equal(cached, plain)
+        assert len(kv.keys) == len(kv.values) == DECODE_CFG.n_layers
+        assert kv.keys[0].shape == (9, DECODE_CFG.d_model)
+
+    def test_positions_forwarded_per_generate(self, decode_model,
+                                              monkeypatch):
+        positions = []
+        real = ToyCausalLm.forward
+
+        def spy(self, tokens, *args, **kwargs):
+            positions.append(len(tokens))
+            return real(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(ToyCausalLm, "forward", spy)
+        prompt = prompt_of(7, seed=4)
+        out = decode_model.generate(prompt, max_new_tokens=8, stop_token=None)
+        assert len(prompt) + len(out) <= DECODE_CFG.max_seq_len
+        assert sum(positions) <= len(prompt) + len(out)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loramix.errors import ConfigError
+from loramix.errors import ConfigError, FormatError
 from loramix.numerics import cosine_similarity
 from loramix.retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                                VectorIndex, build_corpus_index, reconstruct,
@@ -197,6 +199,15 @@ class TestRetrieve:
         with pytest.raises(ValueError):
             retrieve("", idx, RetrievalConfig(), embedder)
 
+    def test_chunk_added_after_retrieve_is_found(self, embedder):
+        idx = self.build_index(embedder, ["light prism lens",
+                                          "water siphon aqueduct"])
+        cfg = RetrievalConfig(theta=0.5)
+        assert retrieve("router gate expert", idx, cfg, embedder) == []
+        idx.add("c002", embedder.embed("router gate expert"))
+        hits = retrieve("router gate expert", idx, cfg, embedder)
+        assert [h.chunk_id for h in hits] == ["c002"]
+
     def test_non_unit_embedding_rejected(self):
         idx = VectorIndex(dim=4)
         with pytest.raises(ValueError):
@@ -234,3 +245,27 @@ class TestCorpusIndex:
         idx = build_corpus_index([("doc", body)], cfg, embedder)
         for cid in idx.chunks:
             assert idx.text_of(cid)
+
+    def test_loaded_overlapping_chunks_reconstruct(self, tmp_path, embedder):
+        cfg = RetrievalConfig(target_size=60, overlap=10)
+        body = " ".join(WORDS * 4)[:240]
+        idx = build_corpus_index([("doc", body)], cfg, embedder)
+        assert len(idx.chunks) > 2
+        assert any(c.lead for c in idx.chunks.values())
+        idx.save(tmp_path / "index.jsonl")
+        loaded = CorpusIndex.load(tmp_path / "index.jsonl")
+        assert reconstruct(loaded.chunks[cid]
+                           for cid in sorted(loaded.chunks)) == body
+
+    def test_row_without_lead_rejected(self, tmp_path, embedder):
+        cfg = RetrievalConfig(target_size=60, overlap=0)
+        idx = build_corpus_index([("d", "Short document body here.")], cfg,
+                                 embedder)
+        path = tmp_path / "index.jsonl"
+        idx.save(path)
+        rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+        for row in rows:
+            del row["lead"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(FormatError):
+            CorpusIndex.load(path)
