@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .adapter import LoraExpert, MixtureFfn, Router
 from .baseline import SingleLoraFfn
-from .model import (AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig,
-                    build_frozen_model)
+from .model import AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig
 from .retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                         retrieve, split_recursive)
 from .training import TrainConfig, TrainExample, gradient_check, train
@@ -29,7 +28,6 @@ __all__ = [
     "TrainConfig",
     "TrainExample",
     "TrigramEmbedder",
-    "build_frozen_model",
     "evaluate",
     "gradient_check",
     "retrieve",

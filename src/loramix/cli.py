@@ -27,12 +27,19 @@ Config schema (all sections optional, defaults shown in DEFAULT_CONFIG):
       "eval": {"max_new_tokens": 48, "qr_samples": 1,
                "use_stored_retrieval": false},
       "clients": {
-        "embedder": {"kind": "trigram", "dim": 256},
+        "embedder": {"kind": "trigram", "dim": 256,
+                     "endpoint": null, "timeout": 10.0},  kind "http"
+                                                          needs endpoint
         "generator": {"endpoint": ..., "model": ...,
                       "api_key_env": "GENERATOR_API_KEY"},
         "judges": [{"endpoint": ..., "api_key_env": "JUDGE_API_KEY"}]
       }
     }
+
+DEFAULT_CONFIG is also the schema. A key it lacks is an error naming
+its dotted path (e.g. "retrieval.thetaa"), and so is a value whose JSON
+type differs from its default's, except that an integer may stand for a
+float. The "generator" and "judges" client entries are taken whole.
 
 Credentials are never written to disk or passed on argv; clients read
 them from the environment variables named in the config at call time.
@@ -54,10 +61,10 @@ from .curation import (HttpChatClient, StubGenerator, curate, load_records,
 from .errors import ConfigError, EvaluationError, FormatError, StateError
 from .evaluation import (EvalConfig, EvalReport, HttpJudgeClient, StubJudge,
                          evaluate)
-from .model import ToyCausalLm, ToyModelConfig
+from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from .retrieval import (CorpusIndex, HttpEmbedderClient, RetrievalConfig,
                         TrigramEmbedder)
-from .training import (QA_PROMPT_TEMPLATE, TrainConfig, TrainExample,
+from .training import (TrainConfig, TrainExample, format_qa,
                        gradient_check, load_checkpoint, save_checkpoint,
                        train, write_loss_csv)
 
@@ -82,20 +89,37 @@ DEFAULT_CONFIG: dict = {
     "eval": {"max_new_tokens": 48, "qr_samples": 1,
              "use_stored_retrieval": False},
     "clients": {
-        "embedder": {"kind": "trigram", "dim": 256},
+        "embedder": {"kind": "trigram", "dim": 256, "endpoint": None,
+                     "timeout": 10.0},
         "generator": None,
         "judges": [],
     },
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """base overlaid with override, whose keys and value types base fixes.
+
+    A None or list default takes the value whole; an int is widened to a
+    float default.
+    """
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
+        name = prefix + key
+        if key not in base:
+            raise ConfigError(f"unknown config key {name!r}")
+        default = base[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            out[key] = _merge(default, value, name + ".")
+        elif default is None or isinstance(default, list):
             out[key] = copy.deepcopy(value)
+        elif type(default) is float and type(value) is int:
+            out[key] = float(value)
+        elif type(value) is type(default):
+            out[key] = value
+        else:
+            raise ConfigError(f"config key {name!r} must be "
+                              f"{type(default).__name__}, got {value!r}")
     return out
 
 
@@ -116,15 +140,15 @@ def load_config(path: str | None) -> dict:
 
 
 def build_embedder(cfg: dict, stub: bool):
-    spec = cfg["clients"]["embedder"] or {}
-    if stub or spec.get("kind", "trigram") == "trigram":
-        return TrigramEmbedder(dim=int(spec.get("dim", 256)))
-    if spec.get("kind") == "http":
-        if "endpoint" not in spec:
+    spec = cfg["clients"]["embedder"]
+    if stub or spec["kind"] == "trigram":
+        return TrigramEmbedder(dim=spec["dim"])
+    if spec["kind"] == "http":
+        if spec["endpoint"] is None:
             raise ConfigError("http embedder needs an endpoint")
-        return HttpEmbedderClient(spec["endpoint"], dim=int(spec.get("dim", 256)),
-                                  timeout=float(spec.get("timeout", 10.0)))
-    raise ConfigError(f"unknown embedder kind {spec.get('kind')!r}")
+        return HttpEmbedderClient(spec["endpoint"], dim=spec["dim"],
+                                  timeout=spec["timeout"])
+    raise ConfigError(f"unknown embedder kind {spec['kind']!r}")
 
 
 def build_generator(cfg: dict, stub: bool):
@@ -135,7 +159,7 @@ def build_generator(cfg: dict, stub: bool):
         raise ConfigError("generator client needs an endpoint")
     return HttpChatClient(spec["endpoint"], model=spec.get("model", "default"),
                           api_key_env=spec.get("api_key_env"),
-                          timeout=float(spec.get("timeout", 30.0)))
+                          timeout=spec.get("timeout", 30.0))
 
 
 def build_judges(cfg: dict, stub: bool) -> list:
@@ -149,33 +173,8 @@ def build_judges(cfg: dict, stub: bool) -> list:
         judges.append(HttpJudgeClient(spec["endpoint"],
                                       model=spec.get("model", "default"),
                                       api_key_env=spec.get("api_key_env"),
-                                      timeout=float(spec.get("timeout", 30.0))))
+                                      timeout=spec.get("timeout", 30.0)))
     return judges
-
-
-def _retrieval_config(cfg: dict) -> RetrievalConfig:
-    r = cfg["retrieval"]
-    return RetrievalConfig(theta=float(r["theta"]),
-                           target_size=int(r["target_size"]),
-                           overlap=int(r["overlap"]))
-
-
-def _model_config(section: dict, seed: int) -> ToyModelConfig:
-    return ToyModelConfig(vocab_size=int(section["vocab_size"]),
-                          d_model=int(section["d_model"]),
-                          n_layers=int(section["n_layers"]),
-                          n_heads=int(section["n_heads"]),
-                          d_ff=int(section["d_ff"]),
-                          max_seq_len=int(section["max_seq_len"]),
-                          seed=seed)
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(lr=float(t["lr"]), batch_size=int(t["batch_size"]),
-                       epochs=int(t["epochs"]), n_experts=int(t["n_experts"]),
-                       top_k=int(t["top_k"]), rank=int(t["rank"]),
-                       alpha=float(t["alpha"]), seed=int(cfg["seed"]))
 
 
 def _read_corpus(corpus_dir: str) -> list[tuple[str, str, str]]:
@@ -203,7 +202,8 @@ def cmd_index(cfg: dict, stub: bool) -> int:
     docs = _read_corpus(cfg["paths"]["corpus"])
     embedder = build_embedder(cfg, stub)
     index = build_corpus_index([(doc_id, text) for doc_id, text, _ in docs],
-                               _retrieval_config(cfg), embedder)
+                               RetrievalConfig(**cfg["retrieval"]),
+                               embedder)
     index_path = Path(cfg["paths"]["index"])
     index_path.parent.mkdir(parents=True, exist_ok=True)
     index.save(index_path)
@@ -216,9 +216,8 @@ def cmd_curate(cfg: dict, stub: bool) -> int:
     docs = _read_corpus(cfg["paths"]["corpus"])
     embedder = build_embedder(cfg, stub)
     generator = build_generator(cfg, stub)
-    result = curate(docs, generator, _retrieval_config(cfg), embedder,
-                    seed=int(cfg["seed"]),
-                    train_frac=float(cfg["train_frac"]))
+    result = curate(docs, generator, RetrievalConfig(**cfg["retrieval"]),
+                    embedder, seed=cfg["seed"], train_frac=cfg["train_frac"])
     dataset_dir = Path(cfg["paths"]["dataset"])
     dataset_dir.mkdir(parents=True, exist_ok=True)
     save_records(dataset_dir / "train.jsonl", result.train)
@@ -244,10 +243,9 @@ def cmd_train(cfg: dict, stub: bool) -> int:
     if not train_path.is_file():
         raise ConfigError(f"training dataset not found: {train_path}")
     records = load_records(train_path)
-    examples = [TrainExample(prompt=QA_PROMPT_TEMPLATE.format(q=r.q),
-                             answer=r.ground_truth) for r in records]
-    train_cfg = _train_config(cfg)
-    model = ToyCausalLm(_model_config(cfg["model"], int(cfg["seed"])),
+    examples = [format_qa(r.q, r.ground_truth) for r in records]
+    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
+    model = ToyCausalLm(ToyModelConfig(**cfg["model"], seed=cfg["seed"]),
                         adapters=train_cfg.adapter_spec())
     result = train(model, examples, train_cfg)
     ckpt_dir = Path(cfg["paths"]["checkpoints"])
@@ -279,15 +277,12 @@ def cmd_eval(cfg: dict, mode: str, stub: bool) -> int:
         if not index_path.is_file():
             raise ConfigError(f"corpus index not found: {index_path}")
         index = CorpusIndex.load(index_path)
-    e = cfg["eval"]
     eval_cfg = EvalConfig(embedder=embedder,
-                          retrieval=_retrieval_config(cfg),
+                          retrieval=RetrievalConfig(**cfg["retrieval"]),
                           index=index,
                           judges=build_judges(cfg, stub),
                           generator=build_generator(cfg, stub),
-                          qr_samples=int(e["qr_samples"]),
-                          max_new_tokens=int(e["max_new_tokens"]),
-                          use_stored_retrieval=bool(e["use_stored_retrieval"]))
+                          **cfg["eval"])
     report = evaluate(records, model, mode, eval_cfg)
 
     reports_dir = Path(cfg["paths"]["reports"])
@@ -316,13 +311,11 @@ def cmd_gradcheck(cfg: dict, epsilon: float) -> int:
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     g = cfg["gradcheck"]
-    seed = int(cfg["seed"])
-    from .model import AdapterSpec
-    model = ToyCausalLm(_model_config(g, seed),
-                        adapters=AdapterSpec(n_experts=int(g["n_experts"]),
-                                             top_k=int(g["top_k"]),
-                                             rank=int(g["rank"]),
-                                             alpha=float(g["alpha"])))
+    model_keys = DEFAULT_CONFIG["model"].keys()
+    model = ToyCausalLm(
+        ToyModelConfig(**{k: g[k] for k in model_keys}, seed=cfg["seed"]),
+        adapters=AdapterSpec(**{k: v for k, v in g.items()
+                                if k not in model_keys}))
     example = TrainExample(prompt="Q: what color is the sky?\nA: ",
                            answer="blue")
     max_err = gradient_check(model, example, epsilon=epsilon)
@@ -363,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        stub = bool(args.stub_clients)
+        stub = args.stub_clients
         if args.command == "curate":
             return cmd_curate(cfg, stub)
         if args.command == "index":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 
 class ShapeError(ValueError):
     """Operands have incompatible or malformed shapes."""
@@ -25,6 +27,19 @@ class FormatError(ValueError):
     def __init__(self, message: str, payload: str | None = None):
         super().__init__(message)
         self.payload = payload
+
+
+def from_fields(cls, data, what: str, payload: str | None = None):
+    """cls(**data) for a parsed JSON object holding exactly cls's fields;
+    FormatError naming what otherwise."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object", payload=payload)
+    names = {f.name for f in dataclasses.fields(cls)}
+    missing, unknown = names - data.keys(), data.keys() - names
+    if missing or unknown:
+        raise FormatError(f"{what} keys: missing {sorted(missing)}, "
+                          f"unknown {sorted(unknown)}", payload=payload)
+    return cls(**data)
 
 
 class ClientError(RuntimeError):

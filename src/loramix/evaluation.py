@@ -16,15 +16,16 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from . import prompts
-from .curation import GeneratorClient, HttpChatClient, _parse_json_object
-from .errors import ConfigError, EvaluationError, FormatError
+from .curation import (GeneratorClient, HttpChatClient, _between,
+                       _parse_json_object)
+from .errors import ConfigError, EvaluationError, FormatError, from_fields
 from .numerics import cosine_similarity
 from .retrieval import CorpusIndex, Embedder, RetrievalConfig
 
@@ -196,14 +197,14 @@ class StubJudge:
 
     def score(self, prompt: str) -> float:
         if "Evaluate the fluency" in prompt:
-            return self._fluency(_extract(prompt, "Text: ",
+            return self._fluency(_between(prompt, "Text: ",
                                           "\n\\n\nGive your score below:"))
         if "### CONTEXT" in prompt and "### RESPONSE" in prompt:
             if "### DISTRACTORS" in prompt:
-                context = _extract(prompt, "### CONTEXT\n", "\n### DISTRACTORS")
+                context = _between(prompt, "### CONTEXT\n", "\n### DISTRACTORS")
             else:
-                context = _extract(prompt, "### CONTEXT\n", "\n### RESPONSE")
-            response = _extract(prompt, "### RESPONSE\n",
+                context = _between(prompt, "### CONTEXT\n", "\n### RESPONSE")
+            response = _between(prompt, "### RESPONSE\n",
                                 "\nReply with a single number")
             return self._containment(context, response)
         raise FormatError("stub judge got an unrecognized prompt",
@@ -234,14 +235,6 @@ class StubJudge:
             score += 0.3
         score += 0.3 * min(1.0, len(text.split()) / 8.0)
         return min(score, 1.0)
-
-
-def _extract(text: str, start: str, end: str) -> str:
-    i = text.find(start)
-    j = text.find(end, i)
-    if i < 0 or j < 0:
-        raise FormatError("prompt markers not found", payload=text)
-    return text[i + len(start):j]
 
 
 def compute_fl(response: str, judges: Sequence[JudgeClient],
@@ -354,14 +347,7 @@ class EvalReport:
         except json.JSONDecodeError as exc:
             raise FormatError(f"report is not valid JSON: {exc}",
                               payload=text) from exc
-        if not isinstance(data, dict):
-            raise FormatError("report root must be a JSON object", payload=text)
-        names = {f.name for f in fields(cls)}
-        missing, unknown = names - data.keys(), data.keys() - names
-        if missing or unknown:
-            raise FormatError(f"report keys: missing {sorted(missing)}, "
-                              f"unknown {sorted(unknown)}", payload=text)
-        return cls(**data)
+        return from_fields(cls, data, "report", payload=text)
 
     def to_table(self) -> str:
         """Aligned text table; absent metrics render as a dash."""

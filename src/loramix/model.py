@@ -426,10 +426,3 @@ def _derive_base(cfg: ToyModelConfig) -> dict[str, Array]:
     base["unembed.w"] = seeding.rng_for(cfg.seed, seeding.UNEMBED).normal(
         0.0, 1.0 / np.sqrt(d), size=(cfg.vocab_size, d))
     return base
-
-
-def build_frozen_model(cfg: ToyModelConfig,
-                       adapters: AdapterSpec | SingleLoraSpec | None = AdapterSpec()
-                       ) -> ToyCausalLm:
-    """Seed-deterministic frozen model with adapters attached to every FFN."""
-    return ToyCausalLm(cfg, adapters=adapters)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .errors import ConfigError, FormatError, StateError
+from .errors import ConfigError, FormatError, StateError, from_fields
 from .model import (AdapterSpec, NEWLINE, SingleLoraSpec, ToyCausalLm,
                     ToyModelConfig, encode_text)
 from .numerics import AdamState, adam_step
@@ -59,12 +59,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.n_experts < 1 or self.rank < 1:
-            raise ConfigError("n_experts and rank must be >= 1")
-        if not 1 <= self.top_k <= self.n_experts:
-            raise ConfigError(
-                f"top_k={self.top_k} must lie in [1, {self.n_experts}]"
-            )
+        self.adapter_spec()
 
     def adapter_spec(self) -> AdapterSpec:
         return AdapterSpec(n_experts=self.n_experts, top_k=self.top_k,
@@ -274,24 +269,15 @@ def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
     spec = model.adapters
     if isinstance(spec, AdapterSpec):
         kind = "mixture"
-        spec_dict = {"n_experts": spec.n_experts, "top_k": spec.top_k,
-                     "rank": spec.rank, "alpha": spec.alpha}
+        spec_dict = asdict(spec)
     elif spec is None:
         kind = "none"
         spec_dict = {}
     else:
         raise ConfigError("only mixture-adapted or undecorated models are "
                           "checkpointable")
-    cfg_payload = {
-        "model": {
-            "vocab_size": model.cfg.vocab_size, "d_model": model.cfg.d_model,
-            "n_layers": model.cfg.n_layers, "n_heads": model.cfg.n_heads,
-            "d_ff": model.cfg.d_ff, "max_seq_len": model.cfg.max_seq_len,
-            "seed": model.cfg.seed,
-        },
-        "adapter_kind": kind,
-        "adapter": spec_dict,
-    }
+    cfg_payload = {"model": asdict(model.cfg), "adapter_kind": kind,
+                   "adapter": spec_dict}
     (directory / "model_config.json").write_text(
         json.dumps(cfg_payload, sort_keys=True, indent=2) + "\n")
     adapters = []
@@ -308,10 +294,12 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
         cfg_payload = json.loads((directory / "model_config.json").read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"unreadable model config: {exc}") from exc
-    cfg = ToyModelConfig(**cfg_payload["model"])
-    kind = cfg_payload["adapter_kind"]
+    cfg = from_fields(ToyModelConfig, cfg_payload.get("model"),
+                      "checkpoint model")
+    kind = cfg_payload.get("adapter_kind")
     if kind == "mixture":
-        spec = AdapterSpec(**cfg_payload["adapter"])
+        spec = from_fields(AdapterSpec, cfg_payload.get("adapter"),
+                           "checkpoint adapter")
     elif kind == "none":
         spec = None
     else:

@@ -20,8 +20,8 @@ from loramix.evaluation import (EvalConfig, RaWeights, StubJudge,
                                 evaluate)
 from loramix.experiments import run_forgetting_experiment, \
     run_openbook_experiment
-from loramix.model import (AdapterSpec, SingleLoraSpec, ToyModelConfig,
-                           build_frozen_model)
+from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
+                           ToyModelConfig)
 from loramix.retrieval import (RetrievalConfig, TrigramEmbedder, VectorIndex,
                                retrieve)
 from loramix.training import (TrainConfig, TrainExample, gradient_check,
@@ -47,9 +47,9 @@ def test_criterion_01_identity_at_initialization():
     start = time.monotonic()
     cfg = ToyModelConfig(vocab_size=64, d_model=32, n_layers=2, n_heads=2,
                          d_ff=64, max_seq_len=32, seed=0)
-    bare = build_frozen_model(cfg, adapters=None)
-    adapted = build_frozen_model(cfg, AdapterSpec(n_experts=4, top_k=2,
-                                                  rank=4, alpha=8.0))
+    bare = ToyCausalLm(cfg, adapters=None)
+    adapted = ToyCausalLm(cfg, AdapterSpec(n_experts=4, top_k=2,
+                                           rank=4, alpha=8.0))
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
@@ -100,7 +100,7 @@ def test_criterion_02_gradient_audit():
                               abs(a - fd) / max(abs(a), abs(fd), 1e-4))
 
     # Model level: the full masked LM loss on a d_model=4 transformer.
-    lm = build_frozen_model(
+    lm = ToyCausalLm(
         ToyModelConfig(vocab_size=32, d_model=4, n_layers=1, n_heads=2,
                        d_ff=8, max_seq_len=16, seed=0),
         AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0))
@@ -173,9 +173,9 @@ def test_criterion_04_degenerate_mixture_equals_single_adapter():
     start = time.monotonic()
     cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=2, n_heads=2,
                          d_ff=32, max_seq_len=64, seed=4)
-    moe = build_frozen_model(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
-                                              alpha=8.0))
-    single = build_frozen_model(cfg, SingleLoraSpec(rank=4, alpha=8.0))
+    moe = ToyCausalLm(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
+                                       alpha=8.0))
+    single = ToyCausalLm(cfg, SingleLoraSpec(rank=4, alpha=8.0))
     tcfg = TrainConfig(lr=1e-3, batch_size=4, epochs=12, seed=4)
     trace_moe = train(moe, COLOR_EXAMPLES, tcfg).loss_trace
     trace_single = train(single, COLOR_EXAMPLES, tcfg).loss_trace
@@ -189,8 +189,8 @@ def test_criterion_04_degenerate_mixture_equals_single_adapter():
 
     # The singleton router saw exactly-zero gradients, so its weights
     # must still match a fresh build bitwise.
-    fresh = build_frozen_model(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
-                                                alpha=8.0)).trainable_params()
+    fresh = ToyCausalLm(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
+                                         alpha=8.0)).trainable_params()
     router_moved = any(
         not np.array_equal(params_moe[n], fresh[n])
         for n in params_moe if n.endswith("router.weights"))
@@ -207,8 +207,8 @@ def test_criterion_05_frozen_base_invariance():
     start = time.monotonic()
     cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=1, n_heads=2,
                          d_ff=32, max_seq_len=64, seed=5)
-    model = build_frozen_model(cfg, AdapterSpec(n_experts=2, top_k=1, rank=2,
-                                                alpha=4.0))
+    model = ToyCausalLm(cfg, AdapterSpec(n_experts=2, top_k=1, rank=2,
+                                         alpha=4.0))
     before = model.base_weight_sha256()
     result = train(model, COLOR_EXAMPLES,
                    TrainConfig(lr=1e-3, batch_size=8, epochs=200, seed=5))

@@ -1,12 +1,15 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loramix import cli
-from loramix.model import AdapterSpec, ToyModelConfig, build_frozen_model
-from loramix.training import load_checkpoint
+from loramix.evaluation import EvalConfig
+from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
+from loramix.retrieval import RetrievalConfig
+from loramix.training import TrainConfig, load_checkpoint
 
 
 DOCS = {
@@ -46,6 +49,34 @@ def make_workspace(tmp_path: Path, train_epochs: int = 1) -> Path:
 
 def run(cfg_path, *argv):
     return cli.main(["--config", str(cfg_path), "--stub-clients", *argv])
+
+
+def set_key(cfg_path: Path, dotted: str, value, out_path: Path) -> Path:
+    """Copy of the config at cfg_path with the dotted key set to value."""
+    data = json.loads(cfg_path.read_text())
+    *sections, key = dotted.split(".")
+    target = data
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = value
+    out_path.write_text(json.dumps(data))
+    return out_path
+
+
+# Config typos and mistyped values, each with a command that would
+# otherwise run on a trained workspace: (dotted key, value, argv).
+REJECTED_KEYS = [
+    ("retrieval.thetaa", 0.2, ["curate"]),
+    ("retreival", {"theta": 0.2}, ["curate"]),
+    ("paths.reprots", "reports", ["curate"]),
+    ("train.epochs", 1.9, ["train"]),
+    ("train.lr", "1e-3", ["train"]),
+    ("model.d_model", "16", ["train"]),
+    ("model.n_layers", True, ["train"]),
+    ("eval.use_stored_retrieval", "false", ["eval", "--mode", "open"]),
+    ("eval.max_new_tokns", 8, ["eval", "--mode", "closed"]),
+    ("gradcheck.ranks", 2, ["gradcheck"]),
+]
 
 
 class TestCurateCommand:
@@ -104,7 +135,7 @@ class TestTrainCommand:
         run(cfg, "curate")
         assert run(cfg, "train") == 0
         loaded = load_checkpoint(tmp_path / "checkpoints")
-        fresh = build_frozen_model(
+        fresh = ToyCausalLm(
             ToyModelConfig(vocab_size=256, d_model=16, n_layers=1, n_heads=2,
                            d_ff=32, max_seq_len=128, seed=0),
             AdapterSpec(n_experts=2, top_k=1, rank=2, alpha=4.0))
@@ -178,6 +209,20 @@ class TestEvalCommand:
         run(cfg, "eval", "--mode", "closed")
         assert (root / "reports" / "closed_report.json").read_bytes() == first
 
+    @pytest.mark.parametrize("section,edit", [
+        ("model", lambda d: d.update(dmodel=16)),
+        ("adapter", lambda d: d.pop("alpha")),
+    ])
+    def test_checkpoint_config_keys_checked(self, trained, capsys, section,
+                                            edit):
+        cfg, root = trained
+        path = root / "checkpoints" / "model_config.json"
+        payload = json.loads(path.read_text())
+        edit(payload[section])
+        path.write_text(json.dumps(payload))
+        assert run(cfg, "eval", "--mode", "closed") == 2
+        assert "checkpoint" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_rerenders_saved_report(self, tmp_path, capsys):
@@ -233,3 +278,44 @@ class TestConfigHandling:
         cfg = make_workspace(tmp_path)
         assert cli.main(["--config", str(cfg), "--seed", "3",
                          "--stub-clients", "curate"]) == 0
+
+    @pytest.fixture(scope="class")
+    def trained_config(self, tmp_path_factory):
+        cfg = make_workspace(tmp_path_factory.mktemp("trained"))
+        assert run(cfg, "curate") == 0 and run(cfg, "train") == 0
+        return cfg
+
+    @pytest.mark.parametrize("dotted,value,argv", REJECTED_KEYS,
+                             ids=[case[0] for case in REJECTED_KEYS])
+    def test_rejected_key_exits_two_naming_it(self, trained_config, tmp_path,
+                                              capsys, dotted, value, argv):
+        cfg = set_key(trained_config, dotted, value, tmp_path / "cfg.json")
+        assert run(cfg, *argv) == 2
+        assert repr(dotted) in capsys.readouterr().err
+
+    def test_int_stands_for_float(self, tmp_path):
+        ckpts = []
+        for alpha in (4.0, 4):
+            root = tmp_path / type(alpha).__name__
+            cfg = set_key(make_workspace(root), "train.alpha", alpha,
+                          root / "config.json")
+            assert run(cfg, "curate") == 0 and run(cfg, "train") == 0
+            ckpts.append({p.name: p.read_bytes()
+                          for p in (root / "checkpoints").iterdir()})
+        assert ckpts[0] == ckpts[1]
+
+    def test_defaults_match_dataclass_defaults(self):
+        d = cli.DEFAULT_CONFIG
+        assert RetrievalConfig(**d["retrieval"]) == RetrievalConfig()
+        assert ToyModelConfig(**d["model"], seed=d["seed"]) == ToyModelConfig()
+        assert TrainConfig(**d["train"], seed=d["seed"]) == TrainConfig()
+        eval_defaults = EvalConfig(embedder=None)
+        assert d["eval"] == {k: getattr(eval_defaults, k) for k in d["eval"]}
+        for section, cls in (("retrieval", RetrievalConfig),
+                             ("model", ToyModelConfig),
+                             ("train", TrainConfig), ("eval", EvalConfig)):
+            types = {f.name: f.type for f in fields(cls)}
+            for key, value in d[section].items():
+                assert type(value).__name__ == types[key], (section, key)
+        assert d["gradcheck"].keys() == \
+            d["model"].keys() | {f.name for f in fields(AdapterSpec)}

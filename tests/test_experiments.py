@@ -5,7 +5,7 @@ from loramix.experiments import (COPY_COLORS, FORGETTING_MODEL,
                                  ForgettingResult, ForgettingTrial,
                                  build_copy_fixture, make_task_a, make_task_b,
                                  room_question, room_sentence, task_recall)
-from loramix.model import ToyModelConfig, build_frozen_model
+from loramix.model import ToyCausalLm, ToyModelConfig
 from loramix.retrieval import TrigramEmbedder, retrieve
 
 
@@ -36,7 +36,7 @@ class TestTaskFixtures:
     def test_task_recall_range(self):
         cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=1,
                              n_heads=2, d_ff=32, max_seq_len=64, seed=0)
-        model = build_frozen_model(cfg)
+        model = ToyCausalLm(cfg)
         score = task_recall(model, make_task_a()[:3], TrigramEmbedder(256))
         assert 0.0 <= score <= 1.0
 

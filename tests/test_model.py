@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loramix.model import (AdapterSpec, KvCache, SingleLoraSpec, ToyCausalLm,
-                           ToyModelConfig, build_frozen_model, decode_tokens,
-                           encode_text)
+                           ToyModelConfig, decode_tokens, encode_text)
 
 from conftest import TINY_ADAPTERS, TINY_CFG
 
@@ -42,10 +41,10 @@ class TestConstruction:
         assert not np.array_equal(a.wte, b.wte)
 
     def test_base_sha_ignores_adapter_choice(self):
-        bare = build_frozen_model(TINY_CFG, adapters=None)
-        moe = build_frozen_model(TINY_CFG, adapters=TINY_ADAPTERS)
-        lora = build_frozen_model(TINY_CFG, adapters=SingleLoraSpec(rank=2,
-                                                                   alpha=4.0))
+        bare = ToyCausalLm(TINY_CFG, adapters=None)
+        moe = ToyCausalLm(TINY_CFG, adapters=TINY_ADAPTERS)
+        lora = ToyCausalLm(TINY_CFG, adapters=SingleLoraSpec(rank=2,
+                                                             alpha=4.0))
         assert bare.base_weight_sha256() == moe.base_weight_sha256()
         assert bare.base_weight_sha256() == lora.base_weight_sha256()
 
@@ -63,7 +62,7 @@ class TestForward:
     def test_logit_shape_and_finiteness(self):
         cfg = ToyModelConfig(vocab_size=16, d_model=8, n_layers=1, n_heads=2,
                              d_ff=16, max_seq_len=8, seed=0)
-        model = build_frozen_model(cfg)
+        model = ToyCausalLm(cfg)
         logits = model.forward([1, 2, 3, 4])
         assert logits.shape == (4, 16)
         assert np.all(np.isfinite(logits))
@@ -128,7 +127,7 @@ class TestGenerate:
     def test_generate_text_round_trip_types(self):
         cfg = ToyModelConfig(vocab_size=256, d_model=8, n_layers=1, n_heads=2,
                              d_ff=16, max_seq_len=32, seed=0)
-        model = build_frozen_model(cfg)
+        model = ToyCausalLm(cfg)
         out = model.generate_text("Q: hi\nA: ", max_new_tokens=4)
         assert isinstance(out, str)
         assert "Q: hi" not in out

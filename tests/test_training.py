@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from loramix.errors import ConfigError
-from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig, \
-    build_frozen_model
+from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
                               encode_example, format_qa, gradient_check,
                               load_checkpoint, save_checkpoint, train,
@@ -25,7 +24,7 @@ def small_lm(seed=0, d_model=16, d_ff=32, layers=1, adapters=None):
     cfg = ToyModelConfig(vocab_size=256, d_model=d_model, n_layers=layers,
                          n_heads=2, d_ff=d_ff, max_seq_len=64, seed=seed)
     spec = adapters or AdapterSpec(n_experts=2, top_k=1, rank=2, alpha=4.0)
-    return build_frozen_model(cfg, spec)
+    return ToyCausalLm(cfg, spec)
 
 
 class TestEncodeExample:
@@ -93,7 +92,7 @@ class TestTrainLoop:
         cfg = ToyModelConfig(vocab_size=256, d_model=64, n_layers=2,
                              n_heads=2, d_ff=128, max_seq_len=64, seed=7)
         spec = AdapterSpec(n_experts=4, top_k=2, rank=8, alpha=16.0)
-        model = build_frozen_model(cfg, spec)
+        model = ToyCausalLm(cfg, spec)
         enc = [encode_example(e, cfg.max_seq_len) for e in COLOR_EXAMPLES]
         initial = batch_loss(model, enc)
         res = train(model, COLOR_EXAMPLES,
@@ -144,7 +143,7 @@ class TestGradientCheck:
             gradient_check(small_lm(), TrainExample("a", "b"), epsilon=0.0)
 
     def test_oversized_model_refused(self):
-        big = build_frozen_model(
+        big = ToyCausalLm(
             ToyModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=2,
                            d_ff=128, max_seq_len=64, seed=0),
             AdapterSpec(n_experts=8, top_k=2, rank=8, alpha=16.0))
