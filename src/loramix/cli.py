@@ -39,7 +39,10 @@ Config schema (all sections optional, defaults shown in DEFAULT_CONFIG):
 DEFAULT_CONFIG is also the schema. A key it lacks is an error naming
 its dotted path (e.g. "retrieval.thetaa"), and so is a value whose JSON
 type differs from its default's, except that an integer may stand for a
-float. The "generator" and "judges" client entries are taken whole.
+float. The "generator" entry and each "judges" entry hold an "endpoint"
+and optionally "model", "api_key_env" and "timeout", the arguments of
+the HTTP clients; any other key, or a value of another type, is an
+error, with stub clients too.
 
 Credentials are never written to disk or passed on argv; clients read
 them from the environment variables named in the config at call time.
@@ -52,7 +55,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -151,30 +153,43 @@ def build_embedder(cfg: dict, stub: bool):
     raise ConfigError(f"unknown embedder kind {spec['kind']!r}")
 
 
+# The HTTP clients' constructor arguments a config entry may set, with
+# the JSON types each accepts.
+CLIENT_KEYS = {"endpoint": (str,), "model": (str,),
+               "api_key_env": (str, type(None)), "timeout": (int, float)}
+
+
+def _client_spec(spec, name: str) -> dict:
+    """spec, the HTTP client entry at dotted path name, once it is an
+    object with an endpoint and only CLIENT_KEYS, of their types."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    for key, value in spec.items():
+        dotted = f"{name}.{key}"
+        if key not in CLIENT_KEYS:
+            raise ConfigError(f"unknown config key {dotted!r}")
+        if type(value) not in CLIENT_KEYS[key]:
+            raise ConfigError(f"config key {dotted!r} has the wrong type, "
+                              f"got {value!r}")
+    if "endpoint" not in spec:
+        raise ConfigError(f"config key {name!r} needs an endpoint")
+    return spec
+
+
 def build_generator(cfg: dict, stub: bool):
     spec = cfg["clients"]["generator"]
-    if stub or spec is None:
+    if spec is None:
         return StubGenerator()
-    if "endpoint" not in spec:
-        raise ConfigError("generator client needs an endpoint")
-    return HttpChatClient(spec["endpoint"], model=spec.get("model", "default"),
-                          api_key_env=spec.get("api_key_env"),
-                          timeout=spec.get("timeout", 30.0))
+    spec = _client_spec(spec, "clients.generator")
+    return StubGenerator() if stub else HttpChatClient(**spec)
 
 
 def build_judges(cfg: dict, stub: bool) -> list:
-    specs = cfg["clients"]["judges"]
+    specs = [_client_spec(spec, f"clients.judges[{i}]")
+             for i, spec in enumerate(cfg["clients"]["judges"])]
     if stub or not specs:
         return [StubJudge()]
-    judges = []
-    for spec in specs:
-        if "endpoint" not in spec:
-            raise ConfigError("judge client needs an endpoint")
-        judges.append(HttpJudgeClient(spec["endpoint"],
-                                      model=spec.get("model", "default"),
-                                      api_key_env=spec.get("api_key_env"),
-                                      timeout=spec.get("timeout", 30.0)))
-    return judges
+    return [HttpJudgeClient(**spec) for spec in specs]
 
 
 def _read_corpus(corpus_dir: str) -> list[tuple[str, str, str]]:

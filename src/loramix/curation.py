@@ -2,8 +2,9 @@
 
 Each chunk with visible text yields exactly one record: a generated
 question, a generated ground-truth answer, and the chunk ids retrieved
-for the question at curation time. Records serialize as JSONL with a fixed six-field schema
-plus the source chunk id, and a seeded shuffle splits them 80/20 into
+for the question at curation time. Records serialize as JSONL with a
+fixed six-field schema plus the source chunk id, load only when a row
+has exactly those keys, and a seeded shuffle splits them 80/20 into
 train and test files.
 
 Generation goes through a chat-completion client. The shipped stub
@@ -18,15 +19,14 @@ from __future__ import annotations
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
 
 from . import prompts
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, from_fields
 from .retrieval import (CorpusIndex, Embedder, RetrievalConfig,
                         build_corpus_index, post_with_retries)
 
@@ -42,31 +42,16 @@ class QaRecord:
     closed_response: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "q": self.q,
-            "context_id": self.context_id,
-            "retrieved": self.retrieved,
-            "open_response": self.open_response,
-            "closed_response": self.closed_response,
-            "ground_truth": self.ground_truth,
-            "domain_tag": self.domain_tag,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "QaRecord":
+        """Inverse of `to_json`; every field must be present, no others."""
         try:
             row = json.loads(line)
-            return cls(
-                q=row["q"],
-                context_id=row["context_id"],
-                retrieved=list(row["retrieved"]),
-                ground_truth=row["ground_truth"],
-                domain_tag=row["domain_tag"],
-                open_response=row.get("open_response"),
-                closed_response=row.get("closed_response"),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise FormatError(f"bad record row: {exc}", payload=line) from exc
+        return from_fields(cls, row, "record row", payload=line)
 
 
 class GeneratorClient(Protocol):
@@ -228,18 +213,15 @@ class CurationResult:
 
 def curate(docs: Iterable[tuple[str, str, str]], gen: GeneratorClient,
            retrieval_cfg: RetrievalConfig, embedder: Embedder, seed: int,
-           train_frac: float = 0.8, max_workers: int = 1) -> CurationResult:
+           train_frac: float = 0.8) -> CurationResult:
     """Build records for a corpus of (doc id, text, domain tag) triples.
 
-    Chunk generation calls may run concurrently up to max_workers;
-    record assembly is ordered by chunk id regardless, so output is
-    independent of scheduling. The split shuffles records with a seeded
-    permutation and puts the first floor(train_frac * n) in train.
+    Records are assembled in chunk-id order. The split shuffles them
+    with a seeded permutation and puts the first floor(train_frac * n)
+    in train.
     """
     if not 0.0 <= train_frac <= 1.0:
         raise ConfigError(f"train_frac must lie in [0, 1], got {train_frac}")
-    if max_workers < 1:
-        raise ConfigError("max_workers must be >= 1")
     doc_list = list(docs)
     index = build_corpus_index(((d, t) for d, t, _ in doc_list),
                                retrieval_cfg, embedder)
@@ -263,12 +245,7 @@ def curate(docs: Iterable[tuple[str, str, str]], gen: GeneratorClient,
             domain_tag=domain_of[chunk.source_doc],
         )
 
-    if max_workers == 1:
-        records = [build_record(cid) for cid in chunk_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(build_record, chunk_ids))
-
+    records = [build_record(cid) for cid in chunk_ids]
     perm = np.random.default_rng(seed).permutation(len(records))
     shuffled = [records[i] for i in perm]
     n_train = int(len(shuffled) * train_frac)

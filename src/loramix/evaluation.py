@@ -1,13 +1,14 @@
 """Scenario classification, metrics, judges, and the evaluation driver.
 
-Open-book evaluation retrieves context for each question, classifies the
-record by what came back relative to its golden chunk, prompts the model
-with the retrieved text, and routes the response to the scenario's
-metric: consistency scoring for golden-only retrieval, distractor
-filtering for mixed retrieval, refusal rate for wrong-context retrieval.
-Records whose retrieval is empty fall back to the closed-book prompt and
-contribute to recall accuracy only. Recall accuracy itself is averaged
-over every response in the mode, refusals included.
+`evaluate` makes one pass over the records and hands each, once it is
+retrieved for and answered, to its mode's scorer. Open-book scoring
+classifies the record by what retrieval returned relative to its golden
+chunk: golden-only and mixed retrieval go to `score_context` (Faith and
+Filter), wrong-context responses to the refusal rate. Records whose
+retrieval is empty are answered from the closed-book prompt and count
+toward recall accuracy only, which is averaged over every response in
+the mode, refusals included. Cross mode scores question recovery and
+fluency on both responses of each record.
 """
 
 from __future__ import annotations
@@ -263,37 +264,29 @@ def compute_fl(response: str, judges: Sequence[JudgeClient],
     return float(np.mean(scores))
 
 
-def score_faith(record, judge: JudgeClient, chunks: "ChunkResolver") -> float:
-    """Consistency of the open response with the golden chunk.
+def score_context(record, judge: JudgeClient, chunks: "ChunkResolver"
+                  ) -> float:
+    """Judge score of the open response against the retrieved context.
 
-    Only meaningful when retrieval returned exactly the golden chunk.
+    A golden-context record gets the consistency (Faith) prompt with the
+    golden chunk; a mixed-context record gets the filtering (Filter)
+    prompt with the golden chunk and the other hits as distractors. Other
+    scenarios have no context to score against.
     """
     scenario = classify_scenario(record.retrieved, record.context_id)
-    if scenario is not Scenario.GOLDEN_CONTEXT:
-        raise ValueError(f"faith is defined for golden-context records, "
-                         f"got {scenario.value}")
+    if scenario not in (Scenario.GOLDEN_CONTEXT, Scenario.MIXED_CONTEXT):
+        raise ValueError(f"context scoring needs the golden chunk among the "
+                         f"hits, got {scenario.value}")
     if record.open_response is None:
         raise ValueError("record has no open response to score")
-    prompt = prompts.faith_prompt(chunks(record.context_id),
-                                  record.open_response)
-    return min(max(judge.score(prompt), 0.0), 1.0)
-
-
-def score_filter(record, judge: JudgeClient, chunks: "ChunkResolver") -> float:
-    """How well the open response ignores retrieved distractors.
-
-    Only meaningful when retrieval returned the golden chunk plus noise.
-    """
-    scenario = classify_scenario(record.retrieved, record.context_id)
-    if scenario is not Scenario.MIXED_CONTEXT:
-        raise ValueError(f"filtering is defined for mixed-context records, "
-                         f"got {scenario.value}")
-    if record.open_response is None:
-        raise ValueError("record has no open response to score")
-    distractors = "\n\n".join(chunks(cid) for cid in record.retrieved
-                              if cid != record.context_id)
-    prompt = prompts.filter_prompt(chunks(record.context_id), distractors,
-                                   record.open_response)
+    golden = chunks(record.context_id)
+    if scenario is Scenario.GOLDEN_CONTEXT:
+        prompt = prompts.faith_prompt(golden, record.open_response)
+    else:
+        distractors = "\n\n".join(chunks(cid) for cid in record.retrieved
+                                  if cid != record.context_id)
+        prompt = prompts.filter_prompt(golden, distractors,
+                                       record.open_response)
     return min(max(judge.score(prompt), 0.0), 1.0)
 
 
@@ -379,6 +372,60 @@ def _mean_or_none(values: list[float]) -> float | None:
     return float(np.mean(values))
 
 
+# A scorer gets one record whose responses are generated, its scenario
+# and joined context (both None in closed mode), the config, the
+# per-metric lists to append to, and the record's failure callback.
+Scores = dict[str, list]
+Fail = Callable[[Exception], None]
+
+
+def _score_open(record, scenario: Scenario | None, context: str | None,
+                cfg: EvalConfig, scores: Scores, fail: Fail) -> None:
+    scores["ra_open"].append(compute_ra(record.open_response,
+                                        record.ground_truth, cfg.ra_weights,
+                                        cfg.embedder))
+    if scenario is Scenario.IRRELEVANT_CONTEXT:
+        scores["rr"].append(record.open_response)
+    elif scenario in (Scenario.GOLDEN_CONTEXT,
+                      Scenario.MIXED_CONTEXT) and cfg.judges:
+        try:
+            value = score_context(record, cfg.judges[0], cfg.index.text_of)
+        except (EvaluationError, ConfigError, FormatError,
+                RuntimeError) as exc:
+            fail(exc)
+        else:
+            scores["faith" if scenario is Scenario.GOLDEN_CONTEXT
+                   else "filter"].append(value)
+
+
+def _score_closed(record, scenario: Scenario | None, context: str | None,
+                  cfg: EvalConfig, scores: Scores, fail: Fail) -> None:
+    scores["ra_closed"].append(compute_ra(record.closed_response,
+                                          record.ground_truth,
+                                          cfg.ra_weights, cfg.embedder))
+
+
+def _score_cross(record, scenario: Scenario | None, context: str | None,
+                 cfg: EvalConfig, scores: Scores, fail: Fail) -> None:
+    for response, resp_context in ((record.open_response, context or None),
+                                   (record.closed_response, None)):
+        try:
+            scores["qr"].append(compute_qr(record.q, response, resp_context,
+                                           cfg.generator, cfg.embedder,
+                                           m=cfg.qr_samples))
+        except (EvaluationError, FormatError, RuntimeError) as exc:
+            fail(exc)
+        try:
+            scores["fl"].append(compute_fl(response, cfg.judges,
+                                           on_failure=fail))
+        except EvaluationError as exc:
+            fail(exc)
+
+
+_SCORERS = {"open": _score_open, "closed": _score_closed,
+            "cross": _score_cross}
+
+
 def evaluate(records: list, model: GenerativeModel, mode: str,
              cfg: EvalConfig) -> EvalReport:
     """Run one evaluation mode over the records.
@@ -386,15 +433,15 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
     Modes: "open" retrieves context and reports Faith/Filter/RR/RA;
     "closed" prompts without context and reports RA only; "cross" runs
     both response paths and reports QR and FL averaged over them.
-    Response fields on the records are populated in place. Judge or
-    generator failures mark the report partial instead of aborting.
+    Each record is retrieved for, answered and scored in one pass, and
+    its response fields are populated in place. Judge or generator
+    failures mark the report partial instead of aborting.
     """
-    if mode not in ("open", "closed", "cross"):
+    if mode not in _SCORERS:
         raise ValueError(f"unknown mode {mode!r}")
     if not records:
         raise ValueError("cannot evaluate an empty record list")
-    needs_retrieval = mode in ("open", "cross")
-    if needs_retrieval and cfg.index is None:
+    if mode != "closed" and cfg.index is None:
         raise ConfigError(f"mode {mode!r} requires a corpus index")
     if mode == "cross" and cfg.generator is None:
         raise ConfigError("cross mode requires a question generator")
@@ -402,102 +449,37 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
         raise ConfigError("cross mode requires at least one judge")
 
     report = EvalReport(mode=mode, record_count=len(records),
-                        scenario_counts={})
+                        scenario_counts={} if mode == "closed" else
+                        {s.value: 0 for s in Scenario})
+    scores: Scores = {name: [] for name in ("faith", "filter", "rr",
+                                            "ra_open", "ra_closed", "qr",
+                                            "fl")}
+    for i, record in enumerate(records):
+        def fail(exc: Exception, i: int = i) -> None:
+            report.partial = True
+            report.failures.append(f"record {i}: {exc}")
 
-    def note_failure(record_idx: int, exc: Exception) -> None:
-        report.partial = True
-        report.failures.append(f"record {record_idx}: {exc}")
-
-    scenarios: list[Scenario | None] = [None] * len(records)
-    if needs_retrieval:
-        counts = {s.value: 0 for s in Scenario}
-        for i, record in enumerate(records):
-            if cfg.use_stored_retrieval:
-                hits = list(record.retrieved)
-            else:
-                hits = [h.chunk_id for h in
-                        cfg.index.retrieve(record.q, cfg.retrieval,
-                                           cfg.embedder)]
-                record.retrieved = hits
-            scenarios[i] = classify_scenario(hits, record.context_id)
-            counts[scenarios[i].value] += 1
-        report.scenario_counts = counts
-
-    def open_prompt(record) -> str:
-        context = "\n\n".join(cfg.index.text_of(cid)
-                              for cid in record.retrieved)
-        return prompts.open_book_prompt(context, record.q)
-
-    if needs_retrieval:
-        for i, record in enumerate(records):
-            if scenarios[i] is Scenario.EMPTY_CONTEXT:
-                prompt = prompts.closed_book_prompt(record.q)
-            else:
-                prompt = open_prompt(record)
+        scenario = context = None
+        if mode != "closed":
+            if not cfg.use_stored_retrieval:
+                record.retrieved = [h.chunk_id for h in cfg.index.retrieve(
+                    record.q, cfg.retrieval, cfg.embedder)]
+            scenario = classify_scenario(record.retrieved, record.context_id)
+            report.scenario_counts[scenario.value] += 1
+            context = "\n\n".join(cfg.index.text_of(cid)
+                                  for cid in record.retrieved)
+            prompt = (prompts.closed_book_prompt(record.q)
+                      if scenario is Scenario.EMPTY_CONTEXT
+                      else prompts.open_book_prompt(context, record.q))
             record.open_response = model.generate_text(
                 prompt, max_new_tokens=cfg.max_new_tokens)
-    if mode in ("closed", "cross"):
-        for record in records:
+        if mode != "open":
             record.closed_response = model.generate_text(
                 prompts.closed_book_prompt(record.q),
                 max_new_tokens=cfg.max_new_tokens)
+        _SCORERS[mode](record, scenario, context, cfg, scores, fail)
 
-    if mode == "open":
-        faith_scores: list[float] = []
-        filter_scores: list[float] = []
-        irrelevant_responses: list[str] = []
-        ra_values: list[float] = []
-        for i, record in enumerate(records):
-            ra_values.append(compute_ra(record.open_response,
-                                        record.ground_truth, cfg.ra_weights,
-                                        cfg.embedder))
-            if scenarios[i] is Scenario.IRRELEVANT_CONTEXT:
-                irrelevant_responses.append(record.open_response)
-            elif scenarios[i] in (Scenario.GOLDEN_CONTEXT,
-                                  Scenario.MIXED_CONTEXT) and cfg.judges:
-                scorer = (score_faith
-                          if scenarios[i] is Scenario.GOLDEN_CONTEXT
-                          else score_filter)
-                try:
-                    value = scorer(record, cfg.judges[0], cfg.index.text_of)
-                except (EvaluationError, ConfigError, FormatError,
-                        RuntimeError) as exc:
-                    note_failure(i, exc)
-                else:
-                    if scenarios[i] is Scenario.GOLDEN_CONTEXT:
-                        faith_scores.append(value)
-                    else:
-                        filter_scores.append(value)
-        report.faith = _mean_or_none(faith_scores)
-        report.filter = _mean_or_none(filter_scores)
-        report.rr = compute_rr(irrelevant_responses, cfg.refusal_phrases)
-        report.ra_open = _mean_or_none(ra_values)
-    elif mode == "closed":
-        report.ra_closed = _mean_or_none([
-            compute_ra(r.closed_response, r.ground_truth, cfg.ra_weights,
-                       cfg.embedder)
-            for r in records])
-    else:  # cross
-        qr_values: list[float] = []
-        fl_values: list[float] = []
-        for i, record in enumerate(records):
-            context = "\n\n".join(cfg.index.text_of(cid)
-                                  for cid in record.retrieved) or None
-            for response, resp_context in (
-                    (record.open_response, context),
-                    (record.closed_response, None)):
-                try:
-                    qr_values.append(compute_qr(
-                        record.q, response, resp_context, cfg.generator,
-                        cfg.embedder, m=cfg.qr_samples))
-                except (EvaluationError, FormatError, RuntimeError) as exc:
-                    note_failure(i, exc)
-                try:
-                    fl_values.append(compute_fl(
-                        response, cfg.judges,
-                        on_failure=lambda exc, i=i: note_failure(i, exc)))
-                except EvaluationError as exc:
-                    note_failure(i, exc)
-        report.qr = _mean_or_none(qr_values)
-        report.fl = _mean_or_none(fl_values)
+    report.rr = compute_rr(scores.pop("rr"), cfg.refusal_phrases)
+    for name, values in scores.items():
+        setattr(report, name, _mean_or_none(values))
     return report

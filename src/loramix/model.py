@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .adapter import MixtureFfn, build_mixture, silu, silu_grad
-from .baseline import SingleLoraFfn, build_single_lora
+from .adapter import build_mixture, silu, silu_grad
+from .baseline import build_single_lora
 from .errors import ConfigError, ShapeError
 from .numerics import softmax_rows
 

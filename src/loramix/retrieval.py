@@ -14,7 +14,7 @@ import json
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 

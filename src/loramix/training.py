@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
 from .errors import ConfigError, FormatError, StateError, from_fields
-from .model import (AdapterSpec, NEWLINE, SingleLoraSpec, ToyCausalLm,
-                    ToyModelConfig, encode_text)
+from .model import (AdapterSpec, NEWLINE, ToyCausalLm, ToyModelConfig,
+                    encode_text)
 from .numerics import AdamState, adam_step
 
 Array = np.ndarray
@@ -90,22 +90,38 @@ def encode_example(example: TrainExample, max_seq_len: int
     return ids, mask
 
 
-def batch_loss(model: ToyCausalLm, batch: list[tuple[list[int], np.ndarray]]
-               ) -> float:
-    """Mean masked cross-entropy over the batch, forward only."""
+def _inverse_count(batch: list[tuple[list[int], np.ndarray]]) -> float:
+    """One over the batch's supervised positions."""
     total_count = sum(int(mask[1:].sum()) for _, mask in batch)
     if total_count == 0:
         raise ValueError("batch contains no supervised positions")
+    return 1.0 / total_count
+
+
+def _masked_cross_entropy(logits: Array, ids: list[int], mask: np.ndarray,
+                          inv: float) -> tuple[float, Array]:
+    """One sequence's share of the batch's mean masked cross-entropy, and
+    that share's gradient with respect to the logits."""
+    targets = np.asarray(ids[1:], dtype=np.int64)
+    counted = mask[1:]
+    shifted = logits[:-1] - logits[:-1].max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    log_z = np.log(np.sum(exp, axis=1))
+    log_probs = shifted[np.arange(len(ids) - 1), targets] - log_z
+    sel = (exp / np.sum(exp, axis=1, keepdims=True))[counted]
+    sel[np.arange(sel.shape[0]), targets[counted]] -= 1.0
+    d_logits = np.zeros_like(logits)
+    d_logits[:-1][counted] = sel * inv
+    return -float(np.sum(log_probs[counted])) * inv, d_logits
+
+
+def batch_loss(model: ToyCausalLm, batch: list[tuple[list[int], np.ndarray]]
+               ) -> float:
+    """Mean masked cross-entropy over the batch, forward only."""
+    inv = _inverse_count(batch)
     loss = 0.0
     for ids, mask in batch:
-        logits = model.forward(ids)
-        t = len(ids)
-        targets = np.asarray(ids[1:], dtype=np.int64)
-        counted = mask[1:]
-        shifted = logits[:-1] - logits[:-1].max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1))
-        log_probs = shifted[np.arange(t - 1), targets] - log_z
-        loss += -float(np.sum(log_probs[counted])) / total_count
+        loss += _masked_cross_entropy(model.forward(ids), ids, mask, inv)[0]
     return loss
 
 
@@ -116,27 +132,13 @@ def loss_and_grads(model: ToyCausalLm, batch: list[tuple[list[int], np.ndarray]]
     Positions are counted once across the whole batch, so the gradient is
     the exact gradient of the returned scalar.
     """
-    total_count = sum(int(mask[1:].sum()) for _, mask in batch)
-    if total_count == 0:
-        raise ValueError("batch contains no supervised positions")
-    inv = 1.0 / total_count
+    inv = _inverse_count(batch)
     loss = 0.0
     grads: dict[str, Array] = {}
     for ids, mask in batch:
         logits, cache = model.forward(ids, with_cache=True)
-        t = len(ids)
-        targets = np.asarray(ids[1:], dtype=np.int64)
-        counted = mask[1:]
-        shifted = logits[:-1] - logits[:-1].max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1))
-        log_probs = shifted[np.arange(t - 1), targets] - log_z
-        loss += -float(np.sum(log_probs[counted])) * inv
-
-        probs = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-        d_logits = np.zeros_like(logits)
-        sel = probs[counted]
-        sel[np.arange(sel.shape[0]), targets[counted]] -= 1.0
-        d_logits[:-1][counted] = sel * inv
+        share, d_logits = _masked_cross_entropy(logits, ids, mask, inv)
+        loss += share
         seq_grads = model.backward(cache, d_logits)
         for name, g in seq_grads.items():
             if name in grads:

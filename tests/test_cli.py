@@ -78,6 +78,26 @@ REJECTED_KEYS = [
     ("gradcheck.ranks", 2, ["gradcheck"]),
 ]
 
+# Client entries the HTTP clients could not take as they stand, each
+# refused with stub clients too: (dotted key, value, argv, name in error).
+ENDPOINT = "http://localhost:9/v1/chat"
+CLIENT_TYPOS = [
+    ("clients.generator", {"endpoint": ENDPOINT, "modle": "x"}, ["curate"],
+     "clients.generator.modle"),
+    ("clients.judges", [{"endpoint": ENDPOINT, "timout": 5}],
+     ["eval", "--mode", "closed"], "clients.judges[0].timout"),
+    ("clients.judges", [{"endpoint": ENDPOINT}, {"model": "x"}],
+     ["eval", "--mode", "closed"], "clients.judges[1]"),
+    ("clients.generator", {"endpoint": ENDPOINT, "retries": 0},
+     ["eval", "--mode", "closed"], "clients.generator.retries"),
+    ("clients.generator", "http://localhost:9", ["curate"],
+     "clients.generator"),
+    ("clients.judges", [{"endpoint": ENDPOINT, "timeout": "5"}],
+     ["eval", "--mode", "closed"], "clients.judges[0].timeout"),
+    ("clients.generator", {"endpoint": ENDPOINT, "timeout": True},
+     ["curate"], "clients.generator.timeout"),
+]
+
 
 class TestCurateCommand:
     def test_summary_matches_files(self, tmp_path, capsys):
@@ -197,6 +217,15 @@ class TestEvalCommand:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_dataset_row_with_unknown_key_exits_two(self, trained, capsys):
+        cfg, root = trained
+        path = root / "dataset" / "test.jsonl"
+        rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+        rows[0]["extra"] = 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(cfg, "eval", "--mode", "closed") == 2
+        assert "unknown ['extra']" in capsys.readouterr().err
+
     def test_eval_before_train_exits_two(self, tmp_path):
         cfg = make_workspace(tmp_path)
         run(cfg, "curate")
@@ -292,6 +321,14 @@ class TestConfigHandling:
         cfg = set_key(trained_config, dotted, value, tmp_path / "cfg.json")
         assert run(cfg, *argv) == 2
         assert repr(dotted) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dotted,value,argv,named", CLIENT_TYPOS,
+                             ids=[case[3] for case in CLIENT_TYPOS])
+    def test_client_spec_checked(self, trained_config, tmp_path, capsys,
+                                 dotted, value, argv, named):
+        cfg = set_key(trained_config, dotted, value, tmp_path / "cfg.json")
+        assert run(cfg, *argv) == 2
+        assert repr(named) in capsys.readouterr().err
 
     def test_int_stands_for_float(self, tmp_path):
         ckpts = []

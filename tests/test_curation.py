@@ -175,14 +175,6 @@ class TestCurate:
         tags = {r.domain_tag for r in result.records}
         assert tags == {"optics", "hydraulics"}
 
-    def test_concurrent_generation_same_output(self, emb):
-        serial = curate(TEN_DOCS, StubGenerator(), CFG, emb, seed=3,
-                        max_workers=1)
-        threaded = curate(TEN_DOCS, StubGenerator(), CFG, emb, seed=3,
-                          max_workers=4)
-        assert [r.to_json() for r in serial.records] == \
-            [r.to_json() for r in threaded.records]
-
 
 class TestPersistence:
     def test_record_round_trip(self):
@@ -209,3 +201,16 @@ class TestPersistence:
         keys = set(json.loads(r.to_json()))
         assert keys == {"q", "context_id", "retrieved", "open_response",
                         "closed_response", "ground_truth", "domain_tag"}
+
+    def test_rows_load_strictly(self):
+        row = json.loads(QaRecord(q="q?", context_id="c:0000", retrieved=[],
+                                  ground_truth="g", domain_tag="d").to_json())
+        with pytest.raises(FormatError, match="unknown"):
+            QaRecord.from_json(json.dumps({**row, "extra": 1}))
+        for key in ("open_response", "closed_response", "q"):
+            partial = {k: v for k, v in row.items() if k != key}
+            with pytest.raises(FormatError, match="missing"):
+                QaRecord.from_json(json.dumps(partial))
+        for bad in ("{not json", "[]"):
+            with pytest.raises(FormatError):
+                QaRecord.from_json(bad)

@@ -11,8 +11,8 @@ from loramix.errors import ConfigError, EvaluationError, FormatError
 from loramix.evaluation import (EvalConfig, EvalReport, RaWeights, Scenario,
                                 StubJudge, classify_scenario, compute_fl,
                                 compute_qr, compute_ra, compute_rr,
-                                detect_refusal, evaluate, score_faith,
-                                score_filter, statement_f1)
+                                detect_refusal, evaluate, score_context,
+                                statement_f1)
 from loramix.retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                                split_recursive)
 
@@ -256,6 +256,17 @@ def make_record(q="What does the pump move?", context_id="pumps:0000",
                     open_response=open_response)
 
 
+class PromptLog:
+    """Judge that records each prompt and scores it 0.5."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def score(self, prompt):
+        self.prompts.append(prompt)
+        return 0.5
+
+
 class TestFaithFilter:
     CHUNKS = {"pumps:0000": "The pump moves water. It hums quietly.",
               "noise:0000": "Valves stop flow."}
@@ -266,33 +277,49 @@ class TestFaithFilter:
     def test_containment_scores_one(self):
         r = make_record(retrieved=["pumps:0000"],
                         open_response="Indeed, The pump moves water.")
-        assert score_faith(r, StubJudge(), self.resolver) == 1.0
+        assert score_context(r, StubJudge(), self.resolver) == 1.0
 
     def test_contradiction_scores_zero(self):
         r = make_record(retrieved=["pumps:0000"],
                         open_response="The pump eats sand.")
-        assert score_faith(r, StubJudge(), self.resolver) == 0.0
+        assert score_context(r, StubJudge(), self.resolver) == 0.0
 
     def test_faith_requires_golden_scenario(self):
-        r = make_record(retrieved=["pumps:0000", "noise:0000"],
-                        open_response="whatever")
+        # The Faith prompt goes only to golden-context records; a record
+        # whose hits miss the golden chunk has no context to score.
+        judge = PromptLog()
+        golden = make_record(retrieved=["pumps:0000"], open_response="x")
+        score_context(golden, judge, self.resolver)
+        (faith,) = judge.prompts
+        assert "### DISTRACTORS" not in faith
+        assert self.CHUNKS["pumps:0000"] in faith
+        irrelevant = make_record(retrieved=["noise:0000"], open_response="x")
         with pytest.raises(ValueError):
-            score_faith(r, StubJudge(), self.resolver)
+            score_context(irrelevant, StubJudge(), self.resolver)
 
     def test_filter_requires_mixed_scenario(self):
-        r = make_record(retrieved=["pumps:0000"], open_response="whatever")
+        # The Filter prompt goes only to mixed-context records, with the
+        # other hits as distractors; an empty retrieval is refused.
+        judge = PromptLog()
+        mixed = make_record(retrieved=["noise:0000", "pumps:0000"],
+                            open_response="x")
+        score_context(mixed, judge, self.resolver)
+        (filt,) = judge.prompts
+        assert ("### CONTEXT\nThe pump moves water. It hums quietly.\n"
+                "### DISTRACTORS\nValves stop flow.\n") in filt
+        empty = make_record(retrieved=[], open_response="x")
         with pytest.raises(ValueError):
-            score_filter(r, StubJudge(), self.resolver)
+            score_context(empty, StubJudge(), self.resolver)
 
     def test_filter_scores_mixed_record(self):
         r = make_record(retrieved=["pumps:0000", "noise:0000"],
                         open_response="The pump moves water.")
-        assert score_filter(r, StubJudge(), self.resolver) == 1.0
+        assert score_context(r, StubJudge(), self.resolver) == 1.0
 
     def test_missing_response_rejected(self):
         r = make_record(retrieved=["pumps:0000"], open_response=None)
         with pytest.raises(ValueError):
-            score_faith(r, StubJudge(), self.resolver)
+            score_context(r, StubJudge(), self.resolver)
 
 
 class CannedModel:
@@ -349,6 +376,70 @@ class TestEvaluate:
                     use_stored_retrieval=True)
         base.update(overrides)
         return EvalConfig(**base)
+
+    # Reports of the designed records with a failing first judge, byte for
+    # byte. The order of failures is part of what is pinned.
+    PINNED_REPORTS = {
+        "open": (
+            '{"failures": ["record 0: judge endpoint down", '
+            '"record 1: judge endpoint down", '
+            '"record 2: judge endpoint down", '
+            '"record 3: judge endpoint down"], "faith": null, '
+            '"filter": null, "fl": null, "mode": "open", '
+            '"partial": true, "qr": null, "ra_closed": null, '
+            '"ra_open": 0.3687461130135792, "record_count": 6, '
+            '"rr": 0.0, "scenario_counts": {"empty_context": 1, '
+            '"golden_context": 2, "irrelevant_context": 1, '
+            '"mixed_context": 2}}'),
+        "closed": (
+            '{"failures": [], "faith": null, "filter": null, "fl": null, '
+            '"mode": "closed", "partial": false, "qr": null, '
+            '"ra_closed": 0.3687461130135792, "ra_open": null, '
+            '"record_count": 6, "rr": null, "scenario_counts": {}}'),
+        "cross": (
+            '{"failures": ["record 0: judge endpoint down", '
+            '"record 0: judge endpoint down", '
+            '"record 1: judge endpoint down", '
+            '"record 1: judge endpoint down", '
+            '"record 2: judge endpoint down", '
+            '"record 2: judge endpoint down", '
+            '"record 3: judge endpoint down", '
+            '"record 3: judge endpoint down", '
+            '"record 4: judge endpoint down", '
+            '"record 4: judge endpoint down", '
+            '"record 5: judge endpoint down", '
+            '"record 5: judge endpoint down"], "faith": null, '
+            '"filter": null, "fl": 0.85, "mode": "cross", '
+            '"partial": true, "qr": 0.07106690545187015, '
+            '"ra_closed": null, "ra_open": null, "record_count": 6, '
+            '"rr": null, "scenario_counts": {"empty_context": 1, '
+            '"golden_context": 2, "irrelevant_context": 1, '
+            '"mixed_context": 2}}'),
+    }
+
+    @pytest.mark.parametrize("mode", ["open", "closed", "cross"])
+    def test_report_bytes_pinned(self, embedder, mode):
+        cfg = self.eval_cfg(embedder, judges=[FailingJudge(), StubJudge()])
+        report = evaluate(designed_records(), CannedModel(), mode, cfg)
+        assert report.to_json() == self.PINNED_REPORTS[mode]
+
+    def test_cross_failures_in_record_then_response_order(self, embedder):
+        class BookModel:
+            def generate_text(self, prompt, max_new_tokens=48):
+                return "open" if "### CONTEXT" in prompt else "closed"
+
+        class RefusingGenerator:
+            def complete(self, messages):
+                passage = messages[-1]["content"].split("Context: ")[1]
+                raise RuntimeError(passage.split()[0])
+
+        cfg = self.eval_cfg(embedder, generator=RefusingGenerator())
+        report = evaluate(designed_records(), BookModel(), "cross", cfg)
+        # the empty-context record is answered closed-book twice
+        books = [("open", "closed")] * 5 + [("closed", "closed")]
+        assert report.failures == [f"record {i}: {book}"
+                                   for i, pair in enumerate(books)
+                                   for book in pair]
 
     def test_designed_scenario_counts(self, embedder):
         report = evaluate(designed_records(), CannedModel(), "open",

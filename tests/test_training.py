@@ -5,8 +5,8 @@ from loramix.errors import ConfigError
 from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
                               encode_example, format_qa, gradient_check,
-                              load_checkpoint, save_checkpoint, train,
-                              write_loss_csv)
+                              load_checkpoint, loss_and_grads,
+                              save_checkpoint, train, write_loss_csv)
 
 from conftest import TINY_ADAPTERS, TINY_CFG
 
@@ -116,6 +116,21 @@ class TestTrainLoop:
             if all(tr[i + 1] <= tr[i] + 1e-9 for i in range(len(tr) - 1)):
                 monotone += 1
         assert monotone >= 9
+
+
+class TestBatchLoss:
+    def test_equals_training_loss_bitwise(self):
+        # the gradient audit differentiates batch_loss, so it must be the
+        # very scalar that loss_and_grads reports and training follows
+        lm = small_lm(layers=2, adapters=AdapterSpec(n_experts=4, top_k=2,
+                                                     rank=2, alpha=4.0))
+        batch = [encode_example(ex, 64) for ex in COLOR_EXAMPLES]
+        assert batch_loss(lm, batch) == loss_and_grads(lm, batch)[0]
+
+    def test_unsupervised_batch_rejected(self):
+        ids, mask = encode_example(COLOR_EXAMPLES[0], 64)
+        with pytest.raises(ValueError):
+            batch_loss(small_lm(), [(ids, np.zeros_like(mask))])
 
 
 class TestTrainConfigValidation:
