@@ -239,7 +239,7 @@ class MixtureFfn:
         d_x = d_x + d_logits @ self.router.weights.T
         return d_x, grads
 
-    # -- parameter access and persistence ------------------------------------
+    # -- parameter access -----------------------------------------------------
 
     def trainable(self) -> dict[str, Array]:
         out: dict[str, Array] = {}
@@ -248,52 +248,6 @@ class MixtureFfn:
             out[f"expert{i}.up"] = e.up
         out["router.weights"] = self.router.weights
         return out
-
-    def apply_updates(self, updates: dict[str, Array]) -> None:
-        """Install new values for trainable tensors (shape-checked)."""
-        for name, value in updates.items():
-            current = self.trainable()[name]
-            if current.shape != value.shape:
-                raise ShapeError(f"update for {name} has shape {value.shape}, "
-                                 f"expected {current.shape}")
-            if name == "router.weights":
-                self.router.weights = np.asarray(value, dtype=np.float64)
-            else:
-                idx = int(name.split(".")[0].removeprefix("expert"))
-                field_name = name.split(".")[1]
-                setattr(self.experts[idx], field_name,
-                        np.asarray(value, dtype=np.float64))
-
-    def to_payload(self) -> dict:
-        """Serializable description of the adapter state (not the base)."""
-        return {
-            "n": self.n_experts,
-            "k": self.top_k,
-            "rank": self.experts[0].rank,
-            "alpha": self.experts[0].alpha,
-            "d_m": self.d_in,
-            "d_ff": self.d_ff,
-            "experts": [
-                {"down": e.down.tolist(), "up": e.up.tolist()}
-                for e in self.experts
-            ],
-            "router": {"w_g": self.router.weights.tolist()},
-        }
-
-    def load_payload(self, payload: dict) -> None:
-        if payload["n"] != self.n_experts or payload["k"] != self.top_k:
-            raise ShapeError("adapter payload does not match layer layout")
-        if payload["d_m"] != self.d_in or payload["d_ff"] != self.d_ff:
-            raise ShapeError("adapter payload dims do not match layer")
-        for e, spec in zip(self.experts, payload["experts"]):
-            down = np.asarray(spec["down"], dtype=np.float64)
-            up = np.asarray(spec["up"], dtype=np.float64)
-            if down.shape != e.down.shape or up.shape != e.up.shape:
-                raise ShapeError("expert factor shapes do not match payload")
-            e.down = down
-            e.up = up
-        self.router.weights = np.asarray(payload["router"]["w_g"],
-                                         dtype=np.float64)
 
 
 def build_mixture(d_in: int, d_ff: int, w1: Array, w2: Array, n_experts: int,

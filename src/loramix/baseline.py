@@ -86,14 +86,6 @@ class SingleLoraFfn:
     def trainable(self) -> dict[str, Array]:
         return {"adapter.down": self.down, "adapter.up": self.up}
 
-    def apply_updates(self, updates: dict[str, Array]) -> None:
-        for name, value in updates.items():
-            current = self.trainable()[name]
-            if current.shape != value.shape:
-                raise ShapeError(f"update for {name} has shape {value.shape}, "
-                                 f"expected {current.shape}")
-            setattr(self, name.split(".")[1], np.asarray(value, dtype=np.float64))
-
 
 def build_single_lora(d_in: int, d_ff: int, w1: Array, w2: Array, rank: int,
                       alpha: float, seed: int, layer_index: int) -> SingleLoraFfn:

@@ -60,7 +60,7 @@ from pathlib import Path
 
 from .curation import (HttpChatClient, StubGenerator, curate, load_records,
                        save_records)
-from .errors import ConfigError, EvaluationError, FormatError, StateError
+from .errors import ConfigError, EvaluationError, StateError
 from .evaluation import (EvalConfig, EvalReport, HttpJudgeClient, StubJudge,
                          evaluate)
 from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
@@ -385,13 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, args.epsilon)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, FormatError, EvaluationError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, EvaluationError, StateError, FileNotFoundError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

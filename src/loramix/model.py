@@ -115,10 +115,6 @@ class FrozenFfn:
     def trainable(self) -> dict[str, Array]:
         return {}
 
-    def apply_updates(self, updates: dict[str, Array]) -> None:
-        if updates:
-            raise ShapeError("frozen FFN has no trainable tensors")
-
 
 def _rms_forward(x: Array, gain: Array, eps: float = 1e-6
                  ) -> tuple[Array, Array]:
@@ -232,13 +228,21 @@ class ToyCausalLm:
         return out
 
     def apply_updates(self, updates: dict[str, Array]) -> None:
-        per_layer: dict[int, dict[str, Array]] = {}
+        """Write new values into trainable tensors in place.
+
+        Every name and shape must match `trainable_params()`; otherwise
+        ShapeError, and no tensor changes.
+        """
+        params = self.trainable_params()
         for name, value in updates.items():
-            prefix, rest = name.split(".", 1)
-            layer = int(prefix.removeprefix("block"))
-            per_layer.setdefault(layer, {})[rest] = value
-        for layer, sub in per_layer.items():
-            self.blocks[layer].ffn.apply_updates(sub)
+            if name not in params:
+                raise ShapeError(f"no trainable tensor named {name!r}")
+            if params[name].shape != np.shape(value):
+                raise ShapeError(f"update for {name!r} has shape "
+                                 f"{np.shape(value)}, expected "
+                                 f"{params[name].shape}")
+        for name, value in updates.items():
+            params[name][...] = value
 
     # -- forward / backward ---------------------------------------------------
 

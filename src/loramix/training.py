@@ -9,6 +9,7 @@ answer + newline count toward the loss.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, FormatError, StateError, from_fields
-from .model import (AdapterSpec, NEWLINE, ToyCausalLm, ToyModelConfig,
-                    encode_text)
+from .model import (AdapterSpec, NEWLINE, SingleLoraSpec, ToyCausalLm,
+                    ToyModelConfig, encode_text)
 from .numerics import AdamState, adam_step
 
 Array = np.ndarray
@@ -26,7 +27,7 @@ Array = np.ndarray
 QA_PROMPT_TEMPLATE = "Q: {q}\nA: "
 
 CHECKPOINT_MAGIC = b"LORAMIX-BASEW\x00\x00\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -264,60 +265,61 @@ def _assert_gating_margins(model: ToyCausalLm, ids: list[int],
 # -- checkpoints ---------------------------------------------------------------
 
 
+# The adapter_kind model_config.json names, and the adapter spec type each
+# stands for; an undecorated model has no spec.
+ADAPTER_KINDS = {"mixture": AdapterSpec, "single": SingleLoraSpec,
+                 "none": type(None)}
+
+
 def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
-    """Write config JSON, adapter JSON and the base-weight array file."""
+    """Write model_config.json (model config, adapter kind and spec) and
+    weights.bin (every `base_arrays()` and `trainable_params()` array)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = model.adapters
-    if isinstance(spec, AdapterSpec):
-        kind = "mixture"
-        spec_dict = asdict(spec)
-    elif spec is None:
-        kind = "none"
-        spec_dict = {}
-    else:
-        raise ConfigError("only mixture-adapted or undecorated models are "
-                          "checkpointable")
+    kind = next(k for k, cls in ADAPTER_KINDS.items() if type(spec) is cls)
     cfg_payload = {"model": asdict(model.cfg), "adapter_kind": kind,
-                   "adapter": spec_dict}
+                   "adapter": {} if spec is None else asdict(spec)}
     (directory / "model_config.json").write_text(
         json.dumps(cfg_payload, sort_keys=True, indent=2) + "\n")
-    adapters = []
-    if kind == "mixture":
-        adapters = [b.ffn.to_payload() for b in model.blocks]
-    (directory / "adapters.json").write_text(
-        json.dumps(adapters, sort_keys=True) + "\n")
-    _write_base_weights(directory / "base_weights.bin", model.base_arrays())
+    _write_arrays(directory / "weights.bin",
+                  {**model.base_arrays(), **model.trainable_params()})
 
 
 def load_checkpoint(directory: str | Path) -> ToyCausalLm:
+    """Inverse of `save_checkpoint`; FormatError for a malformed config, a
+    malformed weight file, or array names other than the model's."""
     directory = Path(directory)
     try:
         cfg_payload = json.loads((directory / "model_config.json").read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"unreadable model config: {exc}") from exc
+    if not isinstance(cfg_payload, dict):
+        raise FormatError("checkpoint model config must be a JSON object")
+    kind = cfg_payload.get("adapter_kind")
+    if not isinstance(kind, str) or kind not in ADAPTER_KINDS:
+        raise FormatError(f"unknown adapter kind {kind!r}")
     cfg = from_fields(ToyModelConfig, cfg_payload.get("model"),
                       "checkpoint model")
-    kind = cfg_payload.get("adapter_kind")
-    if kind == "mixture":
-        spec = from_fields(AdapterSpec, cfg_payload.get("adapter"),
-                           "checkpoint adapter")
-    elif kind == "none":
-        spec = None
-    else:
-        raise FormatError(f"unknown adapter kind {kind!r}")
-    base = _read_base_weights(directory / "base_weights.bin")
-    model = ToyCausalLm(cfg, adapters=spec, base_weights=base)
-    if kind == "mixture":
-        payloads = json.loads((directory / "adapters.json").read_text())
-        if len(payloads) != len(model.blocks):
-            raise FormatError("adapter payload count does not match layers")
-        for block, payload in zip(model.blocks, payloads):
-            block.ffn.load_payload(payload)
+    spec_cls = ADAPTER_KINDS[kind]
+    spec = None if spec_cls is type(None) else from_fields(
+        spec_cls, cfg_payload.get("adapter"), "checkpoint adapter")
+    arrays = _read_arrays(directory / "weights.bin")
+    try:
+        model = ToyCausalLm(cfg, adapters=spec, base_weights=arrays)
+    except KeyError as exc:
+        raise FormatError(f"checkpoint weights lack base array {exc}") from exc
+    trainable = model.trainable_params()
+    names = model.base_arrays().keys() | trainable.keys()
+    missing, unknown = names - arrays.keys(), arrays.keys() - names
+    if missing or unknown:
+        raise FormatError(f"checkpoint weights: missing {sorted(missing)}, "
+                          f"unknown {sorted(unknown)}")
+    model.apply_updates({name: arrays[name] for name in trainable})
     return model
 
 
-def _write_base_weights(path: Path, arrays: dict[str, Array]) -> None:
+def _write_arrays(path: Path, arrays: dict[str, Array]) -> None:
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<B", CHECKPOINT_VERSION))
@@ -334,29 +336,39 @@ def _write_base_weights(path: Path, arrays: dict[str, Array]) -> None:
             f.write(arr.tobytes())
 
 
-def _read_base_weights(path: Path) -> dict[str, Array]:
+def _read_arrays(path: Path) -> dict[str, Array]:
+    """Inverse of `_write_arrays`; FormatError for any other content."""
     blob = Path(path).read_bytes()
     if blob[:16] != CHECKPOINT_MAGIC:
-        raise FormatError("base-weight file has a bad magic header")
-    if blob[16] != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported base-weight version {blob[16]}")
-    off = 17
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        raise FormatError(f"{path.name} has a bad magic header")
+    if blob[16:17] != bytes([CHECKPOINT_VERSION]):
+        raise FormatError(f"{path.name} is not a version "
+                          f"{CHECKPOINT_VERSION} weight file")
     out: dict[str, Array] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        ndim = blob[off]
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(blob[off:off + size], dtype="<f8").reshape(shape)
-        off += size
-        out[name] = arr.copy()
+    off = 17
+    try:
+        (count,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, off)
+            off += 2
+            name = blob[off:off + name_len].decode("utf-8")
+            off += name_len
+            ndim = blob[off]
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", blob, off)
+            off += 4 * ndim
+            size = math.prod(shape) * 8
+            out[name] = np.frombuffer(blob[off:off + size],
+                                      dtype="<f8").reshape(shape)
+            off += size
+    except (struct.error, IndexError, ValueError) as exc:
+        raise FormatError(f"{path.name} is truncated or malformed: "
+                          f"{exc}") from exc
+    if off != len(blob):
+        raise FormatError(f"{path.name} has {len(blob) - off} trailing bytes")
+    if len(out) != count:
+        raise FormatError(f"{path.name} repeats an array name")
     return out
 
 

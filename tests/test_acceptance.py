@@ -324,6 +324,8 @@ def test_criterion_08_pipeline_determinism(tmp_path):
             "open.txt": (root / "reports" / "open_report.txt").read_bytes(),
             "closed.json": (root / "reports"
                             / "closed_report.json").read_bytes(),
+            **{name: (root / "checkpoints" / name).read_bytes()
+               for name in ("model_config.json", "weights.bin", "loss.csv")},
         })
     same = [n for n in outputs[0] if outputs[0][n] == outputs[1][n]]
     ok = len(same) == len(outputs[0])

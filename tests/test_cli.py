@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from loramix import cli
 from loramix.evaluation import EvalConfig
 from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from loramix.retrieval import RetrievalConfig
-from loramix.training import TrainConfig, load_checkpoint
+from loramix.training import (TrainConfig, _read_arrays, _write_arrays,
+                              load_checkpoint)
 
 
 DOCS = {
@@ -226,6 +228,20 @@ class TestEvalCommand:
         assert run(cfg, "eval", "--mode", "closed") == 2
         assert "unknown ['extra']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("retrieved", "pumps:0000"), ("retrieved", [7]),
+        ("closed_response", 7), ("q", None),
+    ])
+    def test_dataset_row_with_mistyped_value_exits_two(self, trained, capsys,
+                                                       key, value):
+        cfg, root = trained
+        path = root / "dataset" / "test.jsonl"
+        rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+        rows[0][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(cfg, "eval", "--mode", "closed") == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_eval_before_train_exits_two(self, tmp_path):
         cfg = make_workspace(tmp_path)
         run(cfg, "curate")
@@ -241,6 +257,12 @@ class TestEvalCommand:
     @pytest.mark.parametrize("section,edit", [
         ("model", lambda d: d.update(dmodel=16)),
         ("adapter", lambda d: d.pop("alpha")),
+        pytest.param("model", lambda d: d.update(d_model="16"),
+                     id="model-d_model-str"),
+        pytest.param("model", lambda d: d.update(d_model=True),
+                     id="model-d_model-bool"),
+        pytest.param("adapter", lambda d: d.update(top_k=1.0),
+                     id="adapter-top_k-float"),
     ])
     def test_checkpoint_config_keys_checked(self, trained, capsys, section,
                                             edit):
@@ -251,6 +273,78 @@ class TestEvalCommand:
         path.write_text(json.dumps(payload))
         assert run(cfg, "eval", "--mode", "closed") == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+def _cut(at):
+    def edit(path: Path) -> None:
+        blob = path.read_bytes()
+        path.write_bytes(blob[:at(len(blob))])
+    return edit
+
+
+def _edit_arrays(change):
+    def edit(path: Path) -> None:
+        arrays = dict(_read_arrays(path))
+        change(arrays)
+        _write_arrays(path, arrays)
+    return edit
+
+
+def _old_layout(path: Path) -> None:
+    path.unlink()
+    (path.parent / "base_weights.bin").write_bytes(b"")
+    (path.parent / "adapters.json").write_text("[]\n")
+
+
+# Edits of a trained workspace's weights.bin, each of which must make
+# loading the checkpoint exit 2: (id, edit of the file at its path).
+CORRUPTIONS = [
+    *[(f"cut-at-{n}", _cut(lambda size, n=n: n))
+      for n in (10, 16, 19, 23, 30)],
+    ("cut-at-half", _cut(lambda size: size // 2)),
+    ("one-byte-short", _cut(lambda size: size - 1)),
+    ("trailing-byte", lambda p: p.write_bytes(p.read_bytes() + b"\0")),
+    ("no-base-array", _edit_arrays(lambda a: a.pop("block0.attn.wq"))),
+    ("no-expert-tensor", _edit_arrays(lambda a: a.pop("block0.expert1.down"))),
+    ("no-router-tensor",
+     _edit_arrays(lambda a: a.pop("block0.router.weights"))),
+    ("extra-expert", _edit_arrays(
+        lambda a: a.update({"block0.expert9.up": a["block0.expert0.up"]}))),
+    ("misshaped-expert", _edit_arrays(
+        lambda a: a.update({"block0.expert1.up": a["block0.expert1.up"].T}))),
+    ("misshaped-base", _edit_arrays(
+        lambda a: a.update({"wpe": a["wpe"][:-1]}))),
+    ("old-layout", _old_layout),
+]
+
+
+class TestCheckpointCorruption:
+    @pytest.fixture(scope="class")
+    def trained_config(self, tmp_path_factory):
+        cfg = make_workspace(tmp_path_factory.mktemp("trained"))
+        assert run(cfg, "curate") == 0 and run(cfg, "train") == 0
+        return cfg
+
+    @pytest.fixture
+    def copied(self, trained_config, tmp_path):
+        """A config whose checkpoint directory is a copy of the trained one,
+        and that directory."""
+        ckpt = tmp_path / "checkpoints"
+        shutil.copytree(trained_config.parent / "checkpoints", ckpt)
+        return set_key(trained_config, "paths.checkpoints", str(ckpt),
+                       tmp_path / "cfg.json"), ckpt
+
+    @pytest.mark.parametrize("edit", [case[1] for case in CORRUPTIONS],
+                             ids=[case[0] for case in CORRUPTIONS])
+    def test_corrupt_weights_exit_two(self, copied, capsys, edit):
+        cfg, ckpt = copied
+        edit(ckpt / "weights.bin")
+        assert run(cfg, "eval", "--mode", "closed") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_untouched_copy_loads(self, copied):
+        cfg, _ = copied
+        assert run(cfg, "eval", "--mode", "closed") == 0
 
 
 class TestReportCommand:

@@ -214,3 +214,8 @@ class TestPersistence:
         for bad in ("{not json", "[]"):
             with pytest.raises(FormatError):
                 QaRecord.from_json(bad)
+        for key, value in (("retrieved", "c:0000"), ("retrieved", [0]),
+                           ("closed_response", 7), ("q", True),
+                           ("domain_tag", None)):
+            with pytest.raises(FormatError, match=repr(key)):
+                QaRecord.from_json(json.dumps({**row, key: value}))

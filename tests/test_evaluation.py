@@ -543,6 +543,12 @@ class TestEvalReport:
             EvalReport.from_json(json.dumps({**full, "extra": 1}))
         with pytest.raises(FormatError):
             EvalReport.from_json("[]")
+        for key, value in (("record_count", True), ("partial", 1),
+                           ("rr", "0.5"), ("scenario_counts", {"a": 1.5}),
+                           ("failures", [None])):
+            with pytest.raises(FormatError, match=repr(key)):
+                EvalReport.from_json(json.dumps({**full, key: value}))
+        assert EvalReport.from_json(json.dumps({**full, "rr": 1})).rr == 1
 
     def test_table_shows_dashes_for_absent(self, embedder):
         report = evaluate(designed_records(), CannedModel(), "closed",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loramix.errors import ShapeError
 from loramix.model import (AdapterSpec, KvCache, SingleLoraSpec, ToyCausalLm,
                            ToyModelConfig, decode_tokens, encode_text)
 
@@ -56,6 +57,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ToyModelConfig(vocab_size=16, d_model=10, n_layers=1, n_heads=3,
                            d_ff=16, max_seq_len=16)
+
+
+class TestApplyUpdates:
+    @pytest.mark.parametrize("spec", [
+        TINY_ADAPTERS, SingleLoraSpec(rank=2, alpha=4.0), None,
+    ], ids=["mixture", "single", "none"])
+    def test_writes_trainable_params_in_place(self, spec):
+        model = ToyCausalLm(TINY_CFG, adapters=spec)
+        params = model.trainable_params()
+        rng = np.random.default_rng(3)
+        new = {name: rng.normal(size=arr.shape)
+               for name, arr in params.items()}
+        model.apply_updates(new)
+        for name, arr in model.trainable_params().items():
+            assert arr is params[name], name
+            assert np.array_equal(arr, new[name]), name
+
+    @pytest.mark.parametrize("name,shape", [
+        ("block0.expert1.up", (2, 16)),
+        ("block0.expert2.up", (16, 2)),
+        ("block0.ffn.w1", (16, 8)),
+        ("block1.router.weights", (8, 2)),
+    ])
+    def test_names_and_shapes_checked(self, name, shape):
+        model = ToyCausalLm(TINY_CFG, adapters=TINY_ADAPTERS)
+        before = {n: a.copy() for n, a in model.trainable_params().items()}
+        with pytest.raises(ShapeError, match=name):
+            model.apply_updates({"block0.router.weights": np.ones((8, 2)),
+                                 name: np.ones(shape)})
+        for n, arr in model.trainable_params().items():
+            assert np.array_equal(arr, before[n]), n
 
 
 class TestForward:

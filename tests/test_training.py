@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from loramix.errors import ConfigError
-from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
+from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
+                           ToyModelConfig, encode_text)
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
                               encode_example, format_qa, gradient_check,
                               load_checkpoint, loss_and_grads,
@@ -176,6 +177,35 @@ class TestCheckpoints:
         loaded = load_checkpoint(tmp_path / "ckpt")
         tokens = [81, 58, 32, 104, 105]
         assert np.array_equal(loaded.forward(tokens), model.forward(tokens))
+
+    @pytest.mark.parametrize("spec", [
+        AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
+        SingleLoraSpec(rank=3, alpha=6.0),
+        None,
+    ], ids=["mixture", "single", "none"])
+    def test_round_trip_is_bitwise_per_adapter_kind(self, tmp_path, spec):
+        cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=2,
+                             n_heads=2, d_ff=32, max_seq_len=64, seed=2)
+        model = ToyCausalLm(cfg, spec)
+        if spec is not None:
+            train(model, COLOR_EXAMPLES[:4], TrainConfig(
+                lr=1e-2, batch_size=4, epochs=3, seed=2))
+            assert all(np.any(arr != 0)
+                       for arr in model.trainable_params().values())
+        save_checkpoint(tmp_path / "ckpt", model)
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == \
+            ["model_config.json", "weights.bin"]
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.adapters == spec
+        params = model.trainable_params()
+        assert loaded.trainable_params().keys() == params.keys()
+        for name, arr in loaded.trainable_params().items():
+            assert np.array_equal(arr, params[name]), name
+        assert loaded.base_weight_sha256() == model.base_weight_sha256()
+        tokens = encode_text("Q: what color is coal?\nA: ")
+        assert np.array_equal(loaded.forward(tokens), model.forward(tokens))
+        assert loaded.generate(tokens, max_new_tokens=12) == \
+            model.generate(tokens, max_new_tokens=12)
 
     def test_save_is_deterministic(self, tmp_path):
         model = small_lm()
