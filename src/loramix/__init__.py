@@ -4,7 +4,7 @@ plus the retrieval, curation, and evaluation pipeline around them.
 
 __version__ = "0.1.0"
 
-from .adapter import LoraExpert, MixtureFfn, Router
+from .adapter import MixtureFfn
 from .baseline import SingleLoraFfn
 from .model import AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig
 from .retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
@@ -17,10 +17,8 @@ __all__ = [
     "CorpusIndex",
     "EvalConfig",
     "EvalReport",
-    "LoraExpert",
     "MixtureFfn",
     "RetrievalConfig",
-    "Router",
     "SingleLoraFfn",
     "SingleLoraSpec",
     "ToyCausalLm",

@@ -7,11 +7,13 @@ over every expert, and only the top-k survive with their weights
 renormalized to sum to one. Unselected experts contribute nothing to the
 output and receive no gradient. With all up-factors zero the layer is
 exactly the frozen FFN, so a freshly decorated model reproduces its base.
+
+The experts' factors are stored stacked, so the mixture is computed as
+one rank-(E*r) adapter whose rank space is gated by the routing weights,
+each expert's weight repeated over its r rank columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,70 +30,6 @@ def silu(x: Array) -> Array:
 def silu_grad(x: Array) -> Array:
     s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
-
-
-@dataclass
-class LoraExpert:
-    """Rank-r update factors for one expert.
-
-    `down` maps the layer input into the rank space, `up` maps it back
-    out; the applied delta is (alpha / rank) * up @ (down @ x).
-    """
-
-    down: Array  # (rank, d_in)
-    up: Array    # (d_out, rank)
-    rank: int
-    alpha: float
-
-    def __post_init__(self):
-        self.down = as_matrix(self.down, "down factor")
-        self.up = as_matrix(self.up, "up factor")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.down.shape[0] != self.rank or self.up.shape[1] != self.rank:
-            raise ShapeError(
-                f"factor shapes {self.down.shape} / {self.up.shape} do not "
-                f"match rank {self.rank}"
-            )
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-    @property
-    def d_in(self) -> int:
-        return self.down.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.up.shape[0]
-
-    @classmethod
-    def init(cls, d_in: int, d_out: int, rank: int, alpha: float,
-             rng: np.random.Generator) -> "LoraExpert":
-        """Uniform down factor, zero up factor: the delta starts at zero."""
-        bound = 1.0 / np.sqrt(d_in)
-        down = rng.uniform(-bound, bound, size=(rank, d_in))
-        up = np.zeros((d_out, rank))
-        return cls(down=down, up=up, rank=rank, alpha=alpha)
-
-
-@dataclass
-class Router:
-    """Linear scorer over experts: one weight column per expert."""
-
-    weights: Array  # (d_in, n_experts)
-
-    def __post_init__(self):
-        self.weights = as_matrix(self.weights, "router weights")
-
-    @property
-    def n_experts(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def d_in(self) -> int:
-        return self.weights.shape[0]
 
 
 def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
@@ -119,13 +57,21 @@ def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
 class MixtureFfn:
     """Frozen two-layer FFN decorated with a routed mixture of experts.
 
-    Forward: h = W1 x + sum over selected experts of weight_i * delta_i(x),
-    y = W2 silu(h). The base projections are write-protected at
-    construction; only expert factors and router weights train.
+    The E experts' factors live in two stacks, `down` (E, r, d_in) and
+    `up` (E, d_ff, r); the router is one (d_in, E) matrix. Flattening the
+    stacks to rank E*r, with `gate` the routing mix repeated r times per
+    expert:
+
+        p = x down_cat^T
+        h = W1 x + (alpha / r) * (gate * p) up_cat
+        y = W2 silu(h)
+
+    The base projections are write-protected at construction; only the
+    factor stacks and the router train.
     """
 
-    def __init__(self, w1: Array, w2: Array, experts: list[LoraExpert],
-                 router: Router, top_k: int):
+    def __init__(self, w1: Array, w2: Array, down: Array, up: Array,
+                 router: Array, top_k: int, alpha: float):
         w1 = np.array(as_matrix(w1, "first projection"), dtype=np.float64)
         w2 = np.array(as_matrix(w2, "second projection"), dtype=np.float64)
         d_ff, d_in = w1.shape
@@ -133,27 +79,34 @@ class MixtureFfn:
             raise ShapeError(
                 f"second projection must be ({d_in}, {d_ff}), got {w2.shape}"
             )
-        if not experts:
-            raise ValueError("need at least one expert")
-        for e in experts:
-            if e.d_in != d_in or e.d_out != d_ff:
-                raise ShapeError(
-                    f"expert dims ({e.d_in} -> {e.d_out}) do not match the "
-                    f"decorated projection ({d_in} -> {d_ff})"
-                )
-        if router.d_in != d_in or router.n_experts != len(experts):
-            raise ShapeError("router shape does not match input dim / expert count")
-        if not 1 <= top_k <= len(experts):
-            raise ValueError(
-                f"top_k must satisfy 1 <= k <= {len(experts)}, got {top_k}"
+        down = np.array(down, dtype=np.float64, order="C")
+        up = np.array(up, dtype=np.float64, order="C")
+        router = np.array(as_matrix(router, "router weights"), order="C")
+        if down.ndim != 3 or down.shape[0] < 1 or down.shape[1] < 1:
+            raise ShapeError(f"down factors must be a non-empty (experts, "
+                             f"rank, d_in) stack, got {down.shape}")
+        n, rank = down.shape[:2]
+        if down.shape != (n, rank, d_in) or up.shape != (n, d_ff, rank):
+            raise ShapeError(
+                f"factor stacks {down.shape} / {up.shape} do not match "
+                f"{n} rank-{rank} experts on the decorated projection "
+                f"({d_in} -> {d_ff})"
             )
+        if router.shape != (d_in, n):
+            raise ShapeError(
+                f"router must be ({d_in}, {n}), got {router.shape}")
+        if not 1 <= top_k <= n:
+            raise ValueError(f"top_k must satisfy 1 <= k <= {n}, got {top_k}")
         w1.setflags(write=False)
         w2.setflags(write=False)
         self.w1 = w1
         self.w2 = w2
-        self.experts = experts
+        self.down = down
+        self.up = up
         self.router = router
         self.top_k = top_k
+        self.scale = alpha / rank
+        self._views = _named(down, up, router)
 
     @property
     def d_in(self) -> int:
@@ -165,7 +118,13 @@ class MixtureFfn:
 
     @property
     def n_experts(self) -> int:
-        return len(self.experts)
+        return self.down.shape[0]
+
+    def _flat_factors(self) -> tuple[Array, Array]:
+        """`down_cat` (E*r, d_in) and `up_cat` (E*r, d_ff)."""
+        n, rank, d_in = self.down.shape
+        return (self.down.reshape(n * rank, d_in),
+                self.up.transpose(0, 2, 1).reshape(n * rank, self.d_ff))
 
     # -- row-vectorized core -------------------------------------------------
 
@@ -176,24 +135,15 @@ class MixtureFfn:
             raise ShapeError(
                 f"layer expects rows of length {self.d_in}, got {x_rows.shape[1]}"
             )
-        full, order, denom, mix = route_rows(x_rows @ self.router.weights,
-                                             self.top_k)
-
-        hidden = x_rows @ self.w1.T                      # (N, d_ff)
-        rank_proj: list[Array] = []
-        deltas: list[Array] = []
-        for i, e in enumerate(self.experts):
-            p = x_rows @ e.down.T                        # (N, rank)
-            d = e.scale * (p @ e.up.T)                   # (N, d_ff)
-            rank_proj.append(p)
-            deltas.append(d)
-            hidden = hidden + mix[:, i : i + 1] * d
-        act = silu(hidden)
-        out = act @ self.w2.T
+        full, order, denom, mix = route_rows(x_rows @ self.router, self.top_k)
+        down_cat, up_cat = self._flat_factors()
+        gate = np.repeat(mix, self.down.shape[1], axis=1)   # (N, E*r)
+        p = x_rows @ down_cat.T                             # (N, E*r)
+        hidden = x_rows @ self.w1.T + self.scale * ((gate * p) @ up_cat)
+        out = silu(hidden) @ self.w2.T
         cache = {
             "x": x_rows, "full": full, "order": order, "denom": denom,
-            "mix": mix, "hidden": hidden, "rank_proj": rank_proj,
-            "deltas": deltas,
+            "mix": mix, "gate": gate, "p": p, "hidden": hidden,
         }
         return out, cache
 
@@ -205,24 +155,16 @@ class MixtureFfn:
         gradients for every trainable tensor. Unselected experts get exact
         zeros; the frozen projections get no entry at all.
         """
-        x_rows = cache["x"]
+        x_rows, gate, p = cache["x"], cache["gate"], cache["p"]
         full, order, denom = cache["full"], cache["order"], cache["denom"]
-        mix, hidden = cache["mix"], cache["hidden"]
+        down_cat, up_cat = self._flat_factors()
 
-        d_act = upstream_rows @ self.w2                  # (N, d_ff)
-        d_hidden = d_act * silu_grad(hidden)
-        d_x = d_hidden @ self.w1
-
-        grads: dict[str, Array] = {}
-        d_mix = np.zeros_like(mix)
-        for i, e in enumerate(self.experts):
-            w_col = mix[:, i : i + 1]
-            d_delta = w_col * d_hidden                   # zero when unselected
-            d_mix[:, i] = np.sum(d_hidden * cache["deltas"][i], axis=1)
-            grads[f"expert{i}.up"] = e.scale * d_delta.T @ cache["rank_proj"][i]
-            d_p = e.scale * (d_delta @ e.up)
-            grads[f"expert{i}.down"] = d_p.T @ x_rows
-            d_x = d_x + d_p @ e.down
+        d_hidden = (upstream_rows @ self.w2) * silu_grad(cache["hidden"])
+        q = d_hidden @ up_cat.T                        # (N, E*r)
+        d_p = self.scale * (gate * q)                  # zero when unselected
+        d_up = self.scale * d_hidden.T @ (gate * p)    # (d_ff, E*r)
+        n, rank = self.down.shape[:2]
+        d_mix = self.scale * (p * q).reshape(-1, n, rank).sum(axis=2)
 
         # Renormalization backward, restricted to the selected set; the
         # dropped experts' mixing weights are constants (zero), so only
@@ -233,34 +175,47 @@ class MixtureFfn:
         d_sel = picked_d / denom - dot / denom**2
         d_full = np.zeros_like(full)
         np.put_along_axis(d_full, order, d_sel, axis=1)
-
         d_logits = full * (d_full - np.sum(d_full * full, axis=1, keepdims=True))
-        grads["router.weights"] = x_rows.T @ d_logits
-        d_x = d_x + d_logits @ self.router.weights.T
+
+        d_x = d_hidden @ self.w1 + d_p @ down_cat + d_logits @ self.router.T
+        grads = _named((d_p.T @ x_rows).reshape(self.down.shape),
+                       d_up.reshape(-1, n, rank).transpose(1, 0, 2),
+                       x_rows.T @ d_logits)
         return d_x, grads
 
     # -- parameter access -----------------------------------------------------
 
     def trainable(self) -> dict[str, Array]:
-        out: dict[str, Array] = {}
-        for i, e in enumerate(self.experts):
-            out[f"expert{i}.down"] = e.down
-            out[f"expert{i}.up"] = e.up
-        out["router.weights"] = self.router.weights
-        return out
+        """Each expert's factors, as writable views into the stacks, and
+        the router matrix; the same array objects on every call."""
+        return dict(self._views)
+
+
+def _named(down: Array, up: Array, router: Array) -> dict[str, Array]:
+    """Per-expert names for stacked factor tensors (or their gradients)."""
+    out: dict[str, Array] = {}
+    for i in range(down.shape[0]):
+        out[f"expert{i}.down"] = down[i]
+        out[f"expert{i}.up"] = up[i]
+    out["router.weights"] = router
+    return out
 
 
 def build_mixture(d_in: int, d_ff: int, w1: Array, w2: Array, n_experts: int,
                   top_k: int, rank: int, alpha: float, seed: int,
                   layer_index: int) -> MixtureFfn:
-    """Construct a decorated FFN with per-component derived initialization."""
+    """Construct a decorated FFN with per-component derived initialization:
+    each expert's down factor uniform from its own stream, every up factor
+    zero, so the delta starts at zero."""
     from . import seeding
 
-    experts = [
-        LoraExpert.init(d_in, d_ff, rank, alpha,
-                        seeding.rng_for(seed, seeding.EXPERT, layer_index, i))
+    bound = 1.0 / np.sqrt(d_in)
+    down = np.stack([
+        seeding.rng_for(seed, seeding.EXPERT, layer_index, i).uniform(
+            -bound, bound, size=(rank, d_in))
         for i in range(n_experts)
-    ]
-    router_rng = seeding.rng_for(seed, seeding.ROUTER, layer_index)
-    router = Router(weights=router_rng.normal(0.0, 0.02, size=(d_in, n_experts)))
-    return MixtureFfn(w1=w1, w2=w2, experts=experts, router=router, top_k=top_k)
+    ])
+    router = seeding.rng_for(seed, seeding.ROUTER, layer_index).normal(
+        0.0, 0.02, size=(d_in, n_experts))
+    return MixtureFfn(w1, w2, down, np.zeros((n_experts, d_ff, rank)), router,
+                      top_k, alpha)

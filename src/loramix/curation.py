@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -42,7 +42,7 @@ class QaRecord:
     closed_response: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "QaRecord":
@@ -171,15 +171,21 @@ def _parse_json_object(raw: str) -> dict:
     return obj
 
 
-def generate_question(chunk_text: str, gen: GeneratorClient) -> str:
-    """One specific question for a chunk, via the question template."""
-    prompt = prompts.question_prompt(chunk_text)
+def ask_generator(gen: GeneratorClient, prompt: str, key: str) -> str:
+    """The stripped string the generator returns under `key` for one user
+    prompt; FormatError when the reply is not a JSON object holding it."""
     raw = gen.complete([{"role": "user", "content": prompt}])
     obj = _parse_json_object(raw)
-    if "question" not in obj:
-        raise FormatError('generator response lacks the "question" key',
+    if key not in obj:
+        raise FormatError(f'generator response lacks the "{key}" key',
                           payload=raw)
-    question = str(obj["question"]).strip()
+    return str(obj[key]).strip()
+
+
+def generate_question(chunk_text: str, gen: GeneratorClient) -> str:
+    """One specific question for a chunk, via the question template."""
+    question = ask_generator(gen, prompts.question_prompt(chunk_text),
+                             "question")
     if not question:
         raise ValueError("generator produced an empty question")
     return question
@@ -188,13 +194,8 @@ def generate_question(chunk_text: str, gen: GeneratorClient) -> str:
 def generate_ground_truth(chunk_text: str, question: str,
                           gen: GeneratorClient) -> str:
     """Reference answer for (chunk, question), via the answer template."""
-    prompt = prompts.ground_truth_prompt(chunk_text, question)
-    raw = gen.complete([{"role": "user", "content": prompt}])
-    obj = _parse_json_object(raw)
-    if "ground truth" not in obj:
-        raise FormatError('generator response lacks the "ground truth" key',
-                          payload=raw)
-    truth = str(obj["ground truth"]).strip()
+    truth = ask_generator(
+        gen, prompts.ground_truth_prompt(chunk_text, question), "ground truth")
     if not truth:
         raise ValueError("generator produced an empty ground truth")
     return truth

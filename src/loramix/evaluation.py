@@ -17,7 +17,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import prompts
 from .curation import (GeneratorClient, HttpChatClient, _between,
-                       _parse_json_object)
+                       ask_generator)
 from .errors import ConfigError, EvaluationError, FormatError, from_fields
 from .numerics import cosine_similarity
 from .retrieval import CorpusIndex, Embedder, RetrievalConfig
@@ -138,13 +138,8 @@ def compute_qr(question: str, response: str, context: str | None,
     passage = response if context is None else f"{response}\n{context}"
     sims = []
     for _ in range(m):
-        prompt = prompts.question_prompt(passage)
-        raw = gen.complete([{"role": "user", "content": prompt}])
-        obj = _parse_json_object(raw)
-        if "question" not in obj:
-            raise FormatError('generator response lacks the "question" key',
-                              payload=raw)
-        regen = str(obj["question"]).strip()
+        regen = ask_generator(gen, prompts.question_prompt(passage),
+                              "question")
         if not regen or not question.strip():
             sims.append(0.0)
             continue
@@ -330,7 +325,7 @@ class EvalReport:
     failures: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

@@ -93,13 +93,13 @@ class SingleLoraSpec:
 
 
 class FrozenFfn:
-    """Undecorated frozen FFN; same arithmetic as the adapted layers at init."""
+    """Undecorated frozen FFN; same arithmetic as the adapted layers at init.
+
+    Takes the projections as given: `ToyCausalLm` has already checked and
+    write-protected them.
+    """
 
     def __init__(self, w1: Array, w2: Array):
-        w1 = np.array(w1, dtype=np.float64)
-        w2 = np.array(w2, dtype=np.float64)
-        w1.setflags(write=False)
-        w2.setflags(write=False)
         self.w1 = w1
         self.w2 = w2
 
@@ -172,8 +172,8 @@ class ToyCausalLm:
         self.blocks: list[Block] = []
         for layer in range(cfg.n_layers):
             p = f"block{layer}."
-            w1 = base[p + "ffn.w1"]
-            w2 = base[p + "ffn.w2"]
+            w1 = _frozen(base[p + "ffn.w1"], (cfg.d_ff, cfg.d_model))
+            w2 = _frozen(base[p + "ffn.w2"], (cfg.d_model, cfg.d_ff))
             if adapters is None:
                 ffn = FrozenFfn(w1, w2)
             elif isinstance(adapters, SingleLoraSpec):

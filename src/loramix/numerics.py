@@ -54,6 +54,12 @@ def cosine_similarity(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+# Adam's moment decay rates and the guard added to the update's denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-tensor Adam accumulator with bias-corrected updates."""
@@ -61,27 +67,19 @@ class AdamState:
     first_moment: Array
     second_moment: Array
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
     @classmethod
-    def for_param(cls, param: Array, lr: float = 1e-4, **kwargs) -> "AdamState":
+    def for_param(cls, param: Array, lr: float = 1e-4) -> "AdamState":
         param = np.asarray(param, dtype=np.float64)
         return cls(
             first_moment=np.zeros_like(param),
             second_moment=np.zeros_like(param),
             lr=lr,
-            **kwargs,
         )
 
 
@@ -96,8 +94,8 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> Array:
         )
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * grads
-    state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * grads**2
-    m_hat = state.first_moment / (1 - state.beta1**t)
-    v_hat = state.second_moment / (1 - state.beta2**t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * grads
+    state.second_moment = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grads**2
+    m_hat = state.first_moment / (1 - ADAM_BETA1**t)
+    v_hat = state.second_moment / (1 - ADAM_BETA2**t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

@@ -184,11 +184,14 @@ def train(model: ToyCausalLm, examples: list[TrainExample], cfg: TrainConfig
 # -- finite-difference audit --------------------------------------------------
 
 MAX_CHECKABLE_PARAMS = 5000
+# Half-width of the seeded uniform jitter added to every trainable scalar.
+AUDIT_JITTER = 0.1
+# Floor of the relative error's denominator.
+AUDIT_DENOM_FLOOR = 1e-4
 
 
 def gradient_check(model: ToyCausalLm, example: TrainExample,
-                   epsilon: float = 1e-5, jitter: float = 0.1,
-                   denom_floor: float = 1e-4) -> float:
+                   epsilon: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference loss gradients.
 
     Every trainable scalar is perturbed by +-epsilon. The model's
@@ -198,8 +201,9 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
     expert selection. Models with more than MAX_CHECKABLE_PARAMS
     trainable scalars are refused.
 
-    The relative error divides by max(|analytic|, |numeric|, denom_floor),
-    so for gradients below the floor this is a scaled absolute error.
+    The relative error divides by max(|analytic|, |numeric|,
+    AUDIT_DENOM_FLOOR), so for gradients below the floor this is a scaled
+    absolute error.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -210,12 +214,11 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
             f"model has {n_scalar} trainable scalars; the exhaustive check "
             f"is limited to {MAX_CHECKABLE_PARAMS}"
         )
-    if jitter > 0:
-        rng = seeding.rng_for(model.cfg.seed, seeding.JITTER)
-        model.apply_updates({
-            name: arr + rng.uniform(-jitter, jitter, size=arr.shape)
-            for name, arr in params.items()
-        })
+    rng = seeding.rng_for(model.cfg.seed, seeding.JITTER)
+    model.apply_updates({
+        name: arr + rng.uniform(-AUDIT_JITTER, AUDIT_JITTER, size=arr.shape)
+        for name, arr in params.items()
+    })
     batch = [encode_example(example, model.cfg.max_seq_len)]
     _assert_gating_margins(model, batch[0][0], epsilon)
 
@@ -237,7 +240,8 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
             flat[j] = orig
             numeric = (up - down) / (2 * epsilon)
             a = float(a_grad.reshape(-1)[j])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric),
+                                         AUDIT_DENOM_FLOOR)
             worst = max(worst, rel)
     return worst
 
@@ -302,8 +306,14 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     cfg = from_fields(ToyModelConfig, cfg_payload.get("model"),
                       "checkpoint model")
     spec_cls = ADAPTER_KINDS[kind]
-    spec = None if spec_cls is type(None) else from_fields(
-        spec_cls, cfg_payload.get("adapter"), "checkpoint adapter")
+    adapter = cfg_payload.get("adapter")
+    if spec_cls is not type(None):
+        spec = from_fields(spec_cls, adapter, "checkpoint adapter")
+    elif adapter == {}:
+        spec = None
+    else:
+        raise FormatError("checkpoint adapter must be {} for adapter kind "
+                          f"'none', got {adapter!r}")
     arrays = _read_arrays(directory / "weights.bin")
     try:
         model = ToyCausalLm(cfg, adapters=spec, base_weights=arrays)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from loramix.adapter import LoraExpert, MixtureFfn, Router, route_rows
+from loramix.adapter import MixtureFfn, route_rows
 from loramix.evaluation import (EvalConfig, RaWeights, StubJudge,
                                 classify_scenario, compute_ra, compute_rr,
                                 evaluate)
@@ -67,15 +67,14 @@ def test_criterion_02_gradient_audit():
     # Layer level: every expert and router scalar of a d_model=4 mixture,
     # with the up factors pushed off their zero init so all paths are live.
     rng = np.random.default_rng(2)
-    experts = []
+    down, up = [], []
     for _ in range(3):
-        e = LoraExpert.init(4, 8, rank=2, alpha=4.0, rng=rng)
-        e.up = rng.standard_normal(e.up.shape) * 0.5
-        experts.append(e)
+        down.append(rng.uniform(-0.5, 0.5, size=(2, 4)))  # bound 1/sqrt(4)
+        up.append(rng.standard_normal((8, 2)) * 0.5)
     layer = MixtureFfn(rng.standard_normal((8, 4)),
                        rng.standard_normal((4, 8)),
-                       experts, Router(weights=rng.standard_normal((4, 3))),
-                       top_k=2)
+                       np.stack(down), np.stack(up),
+                       rng.standard_normal((4, 3)), top_k=2, alpha=4.0)
     x_rows = rng.standard_normal((4, 4))
     upstream = rng.standard_normal((4, 4))
 
@@ -116,13 +115,14 @@ def test_criterion_02_gradient_audit():
 def test_criterion_03_gating_contract():
     start = time.monotonic()
     rng = np.random.default_rng(3)
-    router = Router(weights=rng.standard_normal((8, 6)))
-    experts = [LoraExpert.init(8, 4, rank=1, alpha=2.0, rng=rng)
-               for _ in range(6)]
+    router = rng.standard_normal((8, 6))
+    bound = 1.0 / np.sqrt(8)
+    down = np.stack([rng.uniform(-bound, bound, size=(1, 8))
+                     for _ in range(6)])
     layer = MixtureFfn(rng.standard_normal((4, 8)), rng.standard_normal((8, 4)),
-                       experts, router, top_k=1)
+                       down, np.zeros((6, 4, 1)), router, top_k=1, alpha=2.0)
     x_rows = rng.standard_normal((10_000, 8))
-    logits = x_rows @ router.weights
+    logits = x_rows @ router
 
     # Adding a constant to every logit must not move the scores.
     shifted = logits + 7.5

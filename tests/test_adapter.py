@@ -4,24 +4,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from loramix.adapter import (LoraExpert, MixtureFfn, Router, build_mixture,
-                             route_rows)
+from loramix.adapter import MixtureFfn, build_mixture, route_rows
 from loramix.errors import ShapeError
 
 
-def pinned_expert(alpha=1.0):
-    return LoraExpert(down=np.array([[1.0, 1.0]]),
-                      up=np.array([[2.0], [0.0]]),
-                      rank=1, alpha=alpha)
+def init_down(rng, rank, d_in):
+    """One expert's down factor, drawn as `build_mixture` draws it."""
+    bound = 1.0 / np.sqrt(d_in)
+    return rng.uniform(-bound, bound, size=(rank, d_in))
 
 
-def expert_delta(expert: LoraExpert, x) -> np.ndarray:
-    """The expert's delta for input x, read from a one-expert layer's cache."""
-    layer = MixtureFfn(np.zeros((expert.d_out, expert.d_in)),
-                       np.zeros((expert.d_in, expert.d_out)), [expert],
-                       Router(weights=np.zeros((expert.d_in, 1))), top_k=1)
+def one_expert(down, up, alpha, d_in=None):
+    """A one-expert layer with zero base projections, so its hidden
+    pre-activation is the expert's delta."""
+    d_ff = up.shape[0]
+    d_in = down.shape[1] if d_in is None else d_in
+    return MixtureFfn(np.zeros((d_ff, d_in)), np.zeros((d_in, d_ff)),
+                      down[np.newaxis], up[np.newaxis],
+                      np.zeros((d_in, 1)), top_k=1, alpha=alpha)
+
+
+def pinned_expert(alpha=1.0, d_in=None):
+    return one_expert(np.array([[1.0, 1.0]]), np.array([[2.0], [0.0]]),
+                      alpha, d_in)
+
+
+def expert_delta(layer: MixtureFfn, x) -> np.ndarray:
+    """The one expert's delta for input x."""
     _, cache = layer.forward_rows(np.array([x], dtype=np.float64))
-    return cache["deltas"][0][0]
+    return cache["hidden"][0]
 
 
 def forward_one(m: MixtureFfn, x: np.ndarray) -> np.ndarray:
@@ -45,20 +56,18 @@ class TestLoraExpert:
             == [12.0, 0.0]
 
     def test_init_starts_at_zero_delta(self, rng):
-        e = LoraExpert.init(d_in=5, d_out=3, rank=2, alpha=4.0, rng=rng)
+        e = one_expert(init_down(rng, 2, 5), np.zeros((3, 2)), alpha=4.0)
         x = rng.standard_normal(5)
         assert np.array_equal(expert_delta(e, x), np.zeros(3))
 
     def test_rank_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            LoraExpert(down=np.ones((2, 4)), up=np.ones((3, 1)),
-                       rank=2, alpha=1.0)
+            one_expert(np.ones((2, 4)), np.ones((3, 1)), alpha=1.0)
 
     def test_wrong_input_length(self):
         # an expert built for 2-long inputs cannot decorate a 3-input layer
         with pytest.raises(ShapeError):
-            MixtureFfn(np.zeros((2, 3)), np.zeros((3, 2)), [pinned_expert()],
-                       Router(weights=np.zeros((3, 1))), top_k=1)
+            pinned_expert(d_in=3)
 
 
 class TestGate:
@@ -142,19 +151,19 @@ class TestSelectTopK:
 def random_mixture(rng, d_in=3, d_ff=4, n=3, k=2, rank=2, zero_up=False):
     w1 = rng.standard_normal((d_ff, d_in))
     w2 = rng.standard_normal((d_in, d_ff))
-    experts = []
+    down, up = [], []
     for _ in range(n):
-        e = LoraExpert.init(d_in, d_ff, rank, alpha=2.0 * rank, rng=rng)
-        if not zero_up:
-            e.up = rng.standard_normal(e.up.shape) * 0.5
-        experts.append(e)
-    router = Router(weights=rng.standard_normal((d_in, n)))
-    return MixtureFfn(w1, w2, experts, router, top_k=k)
+        down.append(init_down(rng, rank, d_in))
+        up.append(np.zeros((d_ff, rank)) if zero_up
+                  else rng.standard_normal((d_ff, rank)) * 0.5)
+    router = rng.standard_normal((d_in, n))
+    return MixtureFfn(w1, w2, np.stack(down), np.stack(up), router, top_k=k,
+                      alpha=2.0 * rank)
 
 
 def oracle_forward(m: MixtureFfn, x: np.ndarray) -> np.ndarray:
     """Dense reference: softmax by hand, explicit top-k, scalar loops."""
-    logits = [sum(x[d] * m.router.weights[d, j] for d in range(len(x)))
+    logits = [sum(x[d] * m.router[d, j] for d in range(len(x)))
               for j in range(m.n_experts)]
     mx = max(logits)
     exps = [np.exp(v - mx) for v in logits]
@@ -163,8 +172,7 @@ def oracle_forward(m: MixtureFfn, x: np.ndarray) -> np.ndarray:
     total = sum(full[i] for i in order)
     h = m.w1 @ x
     for i in order:
-        e = m.experts[i]
-        h = h + (full[i] / total) * (e.alpha / e.rank) * (e.up @ (e.down @ x))
+        h = h + (full[i] / total) * m.scale * (m.up[i] @ (m.down[i] @ x))
     act = h / (1.0 + np.exp(-h))
     return m.w2 @ act
 
@@ -222,7 +230,7 @@ class TestMixtureGradients:
         # steer the router hard toward expert 2
         w = np.zeros((3, 4))
         w[:, 2] = 5.0
-        m.router.weights = w
+        m.router[...] = w
         x = np.ones(3)
         grads = gradients_one(m, x, np.ones(3))
         for i in range(4):
@@ -282,6 +290,5 @@ class TestPersistence:
         b = build_mixture(3, 4, np.ones((4, 3)), np.ones((3, 4)),
                           n_experts=2, top_k=1, rank=2, alpha=4.0,
                           seed=5, layer_index=0)
-        for e1, e2 in zip(a.experts, b.experts):
-            assert np.array_equal(e1.down, e2.down)
-        assert np.array_equal(a.router.weights, b.router.weights)
+        assert np.array_equal(a.down, b.down)
+        assert np.array_equal(a.router, b.router)

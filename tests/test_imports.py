@@ -36,3 +36,9 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_exports_resolve_and_are_listed_once():
+    assert len(loramix.__all__) == len(set(loramix.__all__))
+    missing = [name for name in loramix.__all__ if not hasattr(loramix, name)]
+    assert missing == []

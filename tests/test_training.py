@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from loramix.errors import ConfigError
+from loramix.errors import ConfigError, FormatError, ShapeError
 from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
                            ToyModelConfig, encode_text)
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
                               encode_example, format_qa, gradient_check,
                               load_checkpoint, loss_and_grads,
-                              save_checkpoint, train, write_loss_csv)
+                              save_checkpoint, train, write_loss_csv,
+                              _read_arrays, _write_arrays)
 
 from conftest import TINY_ADAPTERS, TINY_CFG
 
@@ -206,6 +209,36 @@ class TestCheckpoints:
         assert np.array_equal(loaded.forward(tokens), model.forward(tokens))
         assert loaded.generate(tokens, max_new_tokens=12) == \
             model.generate(tokens, max_new_tokens=12)
+
+    @pytest.mark.parametrize("spec", [
+        AdapterSpec(n_experts=2, top_k=1, rank=2, alpha=4.0),
+        SingleLoraSpec(rank=2, alpha=4.0),
+        None,
+    ], ids=["mixture", "single", "none"])
+    def test_ffn_base_shapes_checked_against_config(self, tmp_path, spec):
+        # A consistent (8, 16) / (16, 8) FFN pair is still the wrong size
+        # for a d_ff of 32.
+        cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=1,
+                             n_heads=2, d_ff=32, max_seq_len=64, seed=0)
+        save_checkpoint(tmp_path, ToyCausalLm(cfg, spec))
+        arrays = dict(_read_arrays(tmp_path / "weights.bin"))
+        arrays["block0.ffn.w1"] = arrays["block0.ffn.w1"][:8]
+        arrays["block0.ffn.w2"] = arrays["block0.ffn.w2"][:, :8]
+        _write_arrays(tmp_path / "weights.bin", arrays)
+        with pytest.raises(ShapeError, match="expected"):
+            load_checkpoint(tmp_path)
+
+    def test_undecorated_checkpoint_rejects_adapter_fields(self, tmp_path):
+        cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=1,
+                             n_heads=2, d_ff=32, max_seq_len=64, seed=0)
+        save_checkpoint(tmp_path, ToyCausalLm(cfg, None))
+        path = tmp_path / "model_config.json"
+        payload = json.loads(path.read_text())
+        assert (payload["adapter_kind"], payload["adapter"]) == ("none", {})
+        payload["adapter"] = {"x": 1}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="adapter"):
+            load_checkpoint(tmp_path)
 
     def test_save_is_deterministic(self, tmp_path):
         model = small_lm()
