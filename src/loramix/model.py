@@ -6,15 +6,17 @@ unembedding projection. Every base tensor is write-protected after
 construction; the only way the model changes is through the adapter
 factors and router weights inside its FFN layers.
 
-The backward pass is written by hand. It propagates activation gradients
-through the whole stack but accumulates parameter gradients only for the
-trainable adapter tensors, which keeps the update surface identical to
-the documented training contract and lets finite differences audit every
-trainable scalar.
+The backward pass is written by hand. It accumulates parameter
+gradients only for the trainable adapter tensors, which keeps the update
+surface identical to the documented training contract and lets finite
+differences audit every trainable scalar. Everything below the lowest
+adapted FFN is frozen, so no gradient flows there: backward stops after
+that FFN and never walks the attention, norms and embeddings beneath it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -130,6 +132,18 @@ def _rms_backward(x: Array, gain: Array, rms: Array, d_out: Array) -> Array:
     return gd / rms - x * inner / (d * rms**3)
 
 
+@functools.cache
+def _causal_mask(n: int) -> Array:
+    """Read-only (n, n) additive mask, -inf above the diagonal.
+
+    Its `[start:start + t, :start + t]` slice masks t positions that
+    continue a prefix of `start`.
+    """
+    mask = np.triu(np.full((n, n), -np.inf), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class KvCache:
     """Per-layer attention keys and values of a sequence's first positions."""
@@ -194,6 +208,10 @@ class ToyCausalLm:
                 g_ffn=_frozen(base[p + "ffn.gain"], (cfg.d_model,)),
                 ffn=ffn,
             ))
+        # Backward stops at this block; len(blocks) when nothing trains.
+        self.lowest_trained = next(
+            (layer for layer, b in enumerate(self.blocks) if b.ffn.trainable()),
+            cfg.n_layers)
 
     # -- base weight bookkeeping ---------------------------------------------
 
@@ -214,8 +232,9 @@ class ToyCausalLm:
 
     def base_weight_sha256(self) -> str:
         h = hashlib.sha256()
-        for name in sorted(self.base_arrays()):
-            arr = self.base_arrays()[name]
+        arrays = self.base_arrays()
+        for name in sorted(arrays):
+            arr = arrays[name]
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
@@ -269,7 +288,8 @@ class ToyCausalLm:
         the prefix as well, and the call returns `(logits, kv)` with `kv`
         extended by the new positions. `KvCache()` starts from nothing.
         The backward cache needs the whole sequence, so `with_cache`
-        excludes `past`.
+        excludes `past`. It keeps only the FFN cache of the blocks that
+        backward does not walk through, `lowest_trained` and below.
         """
         if with_cache and past is not None:
             raise ValueError("with_cache needs the whole sequence, not a past")
@@ -280,7 +300,8 @@ class ToyCausalLm:
         n_heads = self.cfg.n_heads
         dh = d // n_heads
         inv_sqrt = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((t, start + t), -np.inf), k=start + 1)
+        mask = _causal_mask(self.cfg.max_seq_len)[start:start + t,
+                                                  :start + t]
 
         x = self.wte[ids] + self.wpe[start:start + t]
         caches = []
@@ -300,7 +321,9 @@ class ToyCausalLm:
             o = np.empty_like(a)
             for h in range(n_heads):
                 sl = slice(h * dh, (h + 1) * dh)
-                scores = q_all[:, sl] @ k_all[:, sl].T * inv_sqrt + mask
+                scores = q_all[:, sl] @ k_all[:, sl].T
+                scores *= inv_sqrt
+                scores += mask
                 probs = softmax_rows(scores)
                 o[:, sl] = probs @ v_all[:, sl]
                 heads.append(probs)
@@ -309,11 +332,11 @@ class ToyCausalLm:
             ff_out, ff_cache = b.ffn.forward_rows(ff_in)
             x_next = x_attn + ff_out
             if with_cache:
-                caches.append({
-                    "x": x, "a": a, "r1": r1, "q": q_all, "k": k_all,
-                    "v": v_all, "heads": heads, "x_attn": x_attn,
-                    "ff_in": ff_in, "r2": r2, "ff_cache": ff_cache,
-                })
+                c = {"ff_cache": ff_cache}
+                if layer > self.lowest_trained:
+                    c.update(x=x, r1=r1, q=q_all, k=k_all, v=v_all,
+                             heads=heads, x_attn=x_attn, r2=r2)
+                caches.append(c)
             x = x_next
         x_final, r_final = _rms_forward(x, self.g_final)
         logits = x_final @ self.w_unembed.T
@@ -325,7 +348,15 @@ class ToyCausalLm:
         return logits
 
     def backward(self, cache: dict, d_logits: Array) -> dict[str, Array]:
-        """Adapter-parameter gradients given the loss gradient at the logits."""
+        """Adapter-parameter gradients given the loss gradient at the logits.
+
+        Walks down from the top block and returns after the FFN of block
+        `lowest_trained`: nothing beneath it trains, so the gradient of
+        its input would feed nothing. An undecorated model returns `{}`.
+        """
+        lowest = self.lowest_trained
+        if lowest == len(self.blocks):
+            return {}
         n_heads = self.cfg.n_heads
         dh = self.cfg.d_model // n_heads
         inv_sqrt = cache["inv_sqrt"]
@@ -334,12 +365,14 @@ class ToyCausalLm:
         d_x = _rms_backward(cache["x_last"], self.g_final, cache["r_final"],
                             d_x_final)
         grads: dict[str, Array] = {}
-        for layer in reversed(range(len(self.blocks))):
+        for layer in range(len(self.blocks) - 1, lowest - 1, -1):
             b = self.blocks[layer]
             c = cache["blocks"][layer]
             d_ff_in, ffn_grads = b.ffn.backward_rows(c["ff_cache"], d_x)
             for name, g in ffn_grads.items():
                 grads[f"block{layer}.{name}"] = g
+            if layer == lowest:
+                break
             d_x_attn = d_x + _rms_backward(c["x_attn"], b.g_ffn, c["r2"],
                                            d_ff_in)
             d_o = d_x_attn @ b.wo
@@ -351,11 +384,10 @@ class ToyCausalLm:
                 probs = c["heads"][h]
                 d_probs = d_o[:, sl] @ c["v"][:, sl].T
                 d_v[:, sl] = probs.T @ d_o[:, sl]
-                d_scores = probs * (d_probs
-                                    - np.sum(d_probs * probs, axis=-1,
-                                             keepdims=True))
-                d_q[:, sl] = d_scores @ c["k"][:, sl] * inv_sqrt
-                d_k[:, sl] = d_scores.T @ c["q"][:, sl] * inv_sqrt
+                d_probs -= np.sum(d_probs * probs, axis=-1, keepdims=True)
+                d_probs *= probs
+                d_q[:, sl] = d_probs @ c["k"][:, sl] * inv_sqrt
+                d_k[:, sl] = d_probs.T @ c["q"][:, sl] * inv_sqrt
             d_a = d_q @ b.wq + d_k @ b.wk + d_v @ b.wv
             d_x = d_x_attn + _rms_backward(c["x"], b.g_attn, c["r1"], d_a)
         return grads

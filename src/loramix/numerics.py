@@ -34,11 +34,14 @@ def softmax_rows(m: Array) -> Array:
     """Stable softmax along the last axis. Rows may contain -inf (masked).
 
     The row maximum is subtracted before exponentiation, so the result is
-    invariant (to rounding) under adding a constant to every entry.
+    invariant (to rounding) under adding a constant to every entry. The
+    input is left unchanged; the result is computed in one new array.
     """
-    shifted = m - np.max(m, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    m = np.asarray(m, dtype=np.float64)
+    e = m - np.max(m, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def cosine_similarity(u, v) -> float:

@@ -155,7 +155,9 @@ def train(model: ToyCausalLm, examples: list[TrainExample], cfg: TrainConfig
 
     Each epoch visits a fresh seeded permutation of the examples in
     contiguous batches (the trailing partial batch included). Zero epochs
-    mean zero steps and untouched parameters.
+    mean zero steps and untouched parameters. A non-finite loss raises
+    StateError naming its epoch and step (the `loss.csv` step index), and
+    that step's update is not applied.
     """
     if not examples:
         raise ValueError("training set must be non-empty")
@@ -170,6 +172,9 @@ def train(model: ToyCausalLm, examples: list[TrainExample], cfg: TrainConfig
         for start in range(0, n, cfg.batch_size):
             batch = [encoded[i] for i in perm[start:start + cfg.batch_size]]
             loss, grads = loss_and_grads(model, batch)
+            if not math.isfinite(loss):
+                raise StateError(f"non-finite loss {loss} at epoch {epoch}, "
+                                 f"step {len(trace)}")
             updates = {}
             for name, arr in model.trainable_params().items():
                 g = grads.get(name)

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, fixed before numpy is first imported: at these shapes a
+# second OpenBLAS thread only spins, and timings then track machine load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

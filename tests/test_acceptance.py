@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from loramix.adapter import MixtureFfn, route_rows
 from loramix.evaluation import (EvalConfig, RaWeights, StubJudge,
@@ -33,11 +34,27 @@ from test_evaluation import CannedModel, designed_records, fixture_index
 from test_training import COLOR_EXAMPLES
 
 
+_cpu_start = 0.0
+
+
+@pytest.fixture(autouse=True)
+def _cpu_clock():
+    """Start each check's process CPU clock, which `report` prints."""
+    global _cpu_start
+    _cpu_start = time.process_time()
+
+
 def report(number: int, name: str, ok: bool, detail: str, elapsed: float,
            budget: float, soft: bool = False) -> None:
+    """Print the check's line and enforce its wall-time budget.
+
+    The line also shows the process CPU time the check used, so a budget
+    miss tells slow code (CPU close to wall) from a loaded machine.
+    """
     verdict = "PASS" if ok else ("MISS (soft)" if soft else "FAIL")
+    cpu = time.process_time() - _cpu_start
     print(f"[{verdict}] check {number:2d} ({name}): {detail} "
-          f"[{elapsed:.1f}s of {budget:.0f}s budget]")
+          f"[{elapsed:.1f}s of {budget:.0f}s budget, {cpu:.1f}s CPU]")
     assert elapsed < budget, f"check {number} exceeded its {budget}s budget"
     if not soft:
         assert ok, f"check {number} ({name}) failed: {detail}"

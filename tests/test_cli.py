@@ -175,6 +175,14 @@ class TestTrainCommand:
         cfg = make_workspace(tmp_path)
         assert run(cfg, "train") == 2
 
+    def test_non_finite_loss_exits_two(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path, train_epochs=4)
+        run(cfg, "curate")
+        cfg = set_key(cfg, "train.lr", 1e300, tmp_path / "blowup.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(cfg, "train") == 2
+        assert "non-finite loss" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     @pytest.fixture

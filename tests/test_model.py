@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from loramix.errors import ShapeError
 from loramix.model import (AdapterSpec, KvCache, SingleLoraSpec, ToyCausalLm,
-                           ToyModelConfig, decode_tokens, encode_text)
+                           ToyModelConfig, _causal_mask, decode_tokens,
+                           encode_text)
+from loramix.numerics import softmax_rows
+from loramix.training import TrainExample, gradient_check
 
 from conftest import TINY_ADAPTERS, TINY_CFG
 
@@ -40,6 +43,11 @@ class TestConstruction:
         a = ToyCausalLm(TINY_CFG, adapters=TINY_ADAPTERS)
         b = ToyCausalLm(cfg2, adapters=TINY_ADAPTERS)
         assert not np.array_equal(a.wte, b.wte)
+
+    def test_base_sha_is_pinned(self):
+        digest = ToyCausalLm(TINY_CFG, adapters=None).base_weight_sha256()
+        assert digest == ("267307763d8bec060b727abca559a0a2"
+                          "2f90ac83cf1d9462a7833d2827c3acef")
 
     def test_base_sha_ignores_adapter_choice(self):
         bare = ToyCausalLm(TINY_CFG, adapters=None)
@@ -265,3 +273,56 @@ class TestCachedDecode:
         out = decode_model.generate(prompt, max_new_tokens=8, stop_token=None)
         assert len(prompt) + len(out) <= DECODE_CFG.max_seq_len
         assert sum(positions) <= len(prompt) + len(out)
+
+
+# -- training-step work --------------------------------------------------------
+
+class TestTrainingStepWork:
+    @pytest.mark.parametrize("spec", [
+        AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
+        SingleLoraSpec(rank=2, alpha=4.0),
+        None,
+    ], ids=["mixture", "single", "none"])
+    def test_cache_keeps_only_what_backward_reads(self, spec):
+        model = ToyCausalLm(DECODE_CFG, adapters=spec)
+        _, cache = model.forward(prompt_of(9), with_cache=True)
+        assert len(cache["blocks"]) == DECODE_CFG.n_layers
+        assert set(cache["blocks"][0]) == {"ff_cache"}
+        upper = {"ff_cache"} if spec is None else {
+            "x", "r1", "q", "k", "v", "heads", "x_attn", "r2", "ff_cache"}
+        assert set(cache["blocks"][1]) == upper
+
+    def test_undecorated_backward_is_empty(self):
+        model = ToyCausalLm(DECODE_CFG, adapters=None)
+        logits, cache = model.forward(prompt_of(9), with_cache=True)
+        assert model.backward(cache, np.ones_like(logits)) == {}
+
+    @pytest.mark.parametrize("t, start", [
+        (1, 0), (5, 0), (16, 0), (1, 4), (1, 15), (3, 7), (12, 4)])
+    def test_causal_mask_slice(self, t, start):
+        mask = _causal_mask(16)[start:start + t, :start + t]
+        want = np.triu(np.full((t, start + t), -np.inf), k=start + 1)
+        assert np.array_equal(mask, want)
+        assert not mask.flags.writeable
+
+    def test_softmax_rows_in_place_matches_formula(self):
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=(12, 12)) * 3.0
+        scores += _causal_mask(12)
+        before = scores.copy()
+        shifted = scores - np.max(scores, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        got = softmax_rows(scores)
+        assert np.array_equal(scores, before)
+        assert np.array_equal(got, want)
+
+    def test_gradients_flow_through_upper_attention(self):
+        # Three layers: the lower two blocks' FFN gradients pass through
+        # the attention of every block above them.
+        lm = ToyCausalLm(
+            ToyModelConfig(vocab_size=32, d_model=4, n_layers=3, n_heads=2,
+                           d_ff=8, max_seq_len=16, seed=0),
+            AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0))
+        ex = TrainExample(prompt=chr(17) + chr(18) + chr(19), answer=chr(20))
+        assert gradient_check(lm, ex, epsilon=1e-5) <= 1e-5

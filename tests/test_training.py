@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from loramix.errors import ConfigError, FormatError, ShapeError
+from loramix import training
+from loramix.errors import ConfigError, FormatError, ShapeError, StateError
 from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
                            ToyModelConfig, encode_text)
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
@@ -88,6 +89,33 @@ class TestTrainLoop:
               TrainConfig(lr=1e-2, batch_size=4, epochs=3, n_experts=2,
                           top_k=1, rank=2, alpha=4.0))
         assert model.base_weight_sha256() == sha
+
+    def test_blown_up_lr_stops_on_non_finite_loss(self):
+        model = small_lm()
+        cfg = TrainConfig(lr=1e300, batch_size=4, epochs=5, n_experts=2,
+                          top_k=1, rank=2, alpha=4.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StateError, match="epoch 1, step 2"):
+            train(model, COLOR_EXAMPLES, cfg)
+
+    def test_non_finite_loss_applies_no_update(self, monkeypatch):
+        model = small_lm()
+        real = training.loss_and_grads
+        seen = []
+
+        def nan_on_second_step(m, batch):
+            loss, grads = real(m, batch)
+            seen.append({n: a.copy() for n, a in m.trainable_params().items()})
+            return (float("nan") if len(seen) == 2 else loss), grads
+
+        monkeypatch.setattr(training, "loss_and_grads", nan_on_second_step)
+        with pytest.raises(StateError, match="non-finite loss nan at epoch 0, "
+                                             "step 1"):
+            train(model, COLOR_EXAMPLES,
+                  TrainConfig(lr=1e-2, batch_size=4, epochs=2, n_experts=2,
+                              top_k=1, rank=2, alpha=4.0))
+        for name, arr in model.trainable_params().items():
+            assert np.array_equal(arr, seen[1][name]), name
 
     def test_memorization_fixture(self):
         # pinned fixture: eight QA pairs, 200 full-batch steps at lr 1e-3
