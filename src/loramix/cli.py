@@ -60,7 +60,7 @@ from pathlib import Path
 
 from .curation import (HttpChatClient, StubGenerator, curate, load_records,
                        save_records)
-from .errors import ConfigError, EvaluationError, StateError
+from .errors import ConfigError, EvaluationError, StateError, _conforms
 from .evaluation import (EvalConfig, EvalReport, HttpJudgeClient, StubJudge,
                          evaluate)
 from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
@@ -115,13 +115,11 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
             out[key] = _merge(default, value, name + ".")
         elif default is None or isinstance(default, list):
             out[key] = copy.deepcopy(value)
-        elif type(default) is float and type(value) is int:
-            out[key] = float(value)
-        elif type(value) is type(default):
-            out[key] = value
-        else:
+        elif not _conforms(value, type(default)):
             raise ConfigError(f"config key {name!r} must be "
                               f"{type(default).__name__}, got {value!r}")
+        else:
+            out[key] = float(value) if type(default) is float else value
     return out
 
 
@@ -154,9 +152,9 @@ def build_embedder(cfg: dict, stub: bool):
 
 
 # The HTTP clients' constructor arguments a config entry may set, with
-# the JSON types each accepts.
-CLIENT_KEYS = {"endpoint": (str,), "model": (str,),
-               "api_key_env": (str, type(None)), "timeout": (int, float)}
+# the type of each.
+CLIENT_KEYS = {"endpoint": str, "model": str, "api_key_env": str | None,
+               "timeout": float}
 
 
 def _client_spec(spec, name: str) -> dict:
@@ -168,7 +166,7 @@ def _client_spec(spec, name: str) -> dict:
         dotted = f"{name}.{key}"
         if key not in CLIENT_KEYS:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if type(value) not in CLIENT_KEYS[key]:
+        if not _conforms(value, CLIENT_KEYS[key]):
             raise ConfigError(f"config key {dotted!r} has the wrong type, "
                               f"got {value!r}")
     if "endpoint" not in spec:

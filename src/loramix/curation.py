@@ -68,13 +68,11 @@ class HttpChatClient:
     """
 
     def __init__(self, endpoint: str, model: str = "default",
-                 api_key_env: str | None = None, timeout: float = 30.0,
-                 retries: int = 2):
+                 api_key_env: str | None = None, timeout: float = 30.0):
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self.retries = retries
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         headers = {"Content-Type": "application/json"}
@@ -86,8 +84,7 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {key}"
         body = json.dumps({"model": self.model,
                            "messages": messages}).encode("utf-8")
-        raw = post_with_retries(self.endpoint, body, self.timeout,
-                                self.retries, headers)
+        raw = post_with_retries(self.endpoint, body, self.timeout, headers)
         try:
             payload = json.loads(raw)
             return payload["choices"][0]["message"]["content"]

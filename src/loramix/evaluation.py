@@ -30,7 +30,7 @@ from .errors import ConfigError, EvaluationError, FormatError, from_fields
 from .numerics import cosine_similarity
 from .retrieval import CorpusIndex, Embedder, RetrievalConfig
 
-DEFAULT_REFUSAL_PHRASES = ("i don't know", "i do not know")
+REFUSAL_PHRASES = ("i don't know", "i do not know")
 
 
 class Scenario(Enum):
@@ -57,21 +57,18 @@ def _normalize(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-def detect_refusal(response: str,
-                   phrases: Sequence[str] = DEFAULT_REFUSAL_PHRASES) -> bool:
+def detect_refusal(response: str) -> bool:
     """True when the normalized response starts with a refusal phrase."""
     norm = _normalize(response)
-    return any(norm.startswith(_normalize(p)) for p in phrases)
+    return any(norm.startswith(_normalize(p)) for p in REFUSAL_PHRASES)
 
 
-def compute_rr(responses: Iterable[str],
-               phrases: Sequence[str] = DEFAULT_REFUSAL_PHRASES
-               ) -> float | None:
+def compute_rr(responses: Iterable[str]) -> float | None:
     """Fraction of responses that refuse; None when there are no responses."""
     responses = list(responses)
     if not responses:
         return None
-    refused = sum(1 for r in responses if detect_refusal(r, phrases))
+    refused = sum(1 for r in responses if detect_refusal(r))
     return refused / len(responses)
 
 
@@ -102,6 +99,10 @@ class RaWeights:
             raise ConfigError("metric weights must be non-negative")
         if self.token_weight + self.embedding_weight == 0:
             raise ConfigError("at least one metric weight must be positive")
+
+
+# Recall-accuracy weights of every scorer and of `experiments.task_recall`.
+RA_WEIGHTS = RaWeights()
 
 
 def compute_ra(answer: str, truth: str, weights: RaWeights,
@@ -166,11 +167,9 @@ class HttpJudgeClient:
     """
 
     def __init__(self, endpoint: str, model: str = "default",
-                 api_key_env: str | None = None, timeout: float = 30.0,
-                 retries: int = 2):
+                 api_key_env: str | None = None, timeout: float = 30.0):
         self._chat = HttpChatClient(endpoint, model=model,
-                                    api_key_env=api_key_env, timeout=timeout,
-                                    retries=retries)
+                                    api_key_env=api_key_env, timeout=timeout)
 
     def score(self, prompt: str) -> float:
         reply = self._chat.complete([{"role": "user", "content": prompt}])
@@ -302,8 +301,6 @@ class EvalConfig:
     index: CorpusIndex | None = None
     judges: Sequence[JudgeClient] = ()
     generator: GeneratorClient | None = None
-    ra_weights: RaWeights = field(default_factory=RaWeights)
-    refusal_phrases: Sequence[str] = DEFAULT_REFUSAL_PHRASES
     qr_samples: int = 1
     max_new_tokens: int = 48
     use_stored_retrieval: bool = False
@@ -377,7 +374,7 @@ Fail = Callable[[Exception], None]
 def _score_open(record, scenario: Scenario | None, context: str | None,
                 cfg: EvalConfig, scores: Scores, fail: Fail) -> None:
     scores["ra_open"].append(compute_ra(record.open_response,
-                                        record.ground_truth, cfg.ra_weights,
+                                        record.ground_truth, RA_WEIGHTS,
                                         cfg.embedder))
     if scenario is Scenario.IRRELEVANT_CONTEXT:
         scores["rr"].append(record.open_response)
@@ -396,8 +393,8 @@ def _score_open(record, scenario: Scenario | None, context: str | None,
 def _score_closed(record, scenario: Scenario | None, context: str | None,
                   cfg: EvalConfig, scores: Scores, fail: Fail) -> None:
     scores["ra_closed"].append(compute_ra(record.closed_response,
-                                          record.ground_truth,
-                                          cfg.ra_weights, cfg.embedder))
+                                          record.ground_truth, RA_WEIGHTS,
+                                          cfg.embedder))
 
 
 def _score_cross(record, scenario: Scenario | None, context: str | None,
@@ -474,7 +471,7 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
                 max_new_tokens=cfg.max_new_tokens)
         _SCORERS[mode](record, scenario, context, cfg, scores, fail)
 
-    report.rr = compute_rr(scores.pop("rr"), cfg.refusal_phrases)
+    report.rr = compute_rr(scores.pop("rr"))
     for name, values in scores.items():
         setattr(report, name, _mean_or_none(values))
     return report

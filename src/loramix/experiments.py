@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .evaluation import EvalConfig, RaWeights, compute_ra, evaluate
+from .evaluation import RA_WEIGHTS, EvalConfig, compute_ra, evaluate
 from .model import (AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig)
 from .retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                         build_corpus_index)
@@ -56,13 +56,12 @@ def make_task_b() -> list[TrainExample]:
 
 
 def task_recall(model: ToyCausalLm, examples: list[TrainExample],
-                embedder, weights: RaWeights | None = None) -> float:
+                embedder) -> float:
     """Mean recall accuracy of greedy completions against the answers."""
-    weights = weights or RaWeights()
     total = 0.0
     for ex in examples:
         response = model.generate_text(ex.prompt, max_new_tokens=16)
-        total += compute_ra(response, ex.answer, weights, embedder)
+        total += compute_ra(response, ex.answer, RA_WEIGHTS, embedder)
     return total / len(examples)
 
 
@@ -75,6 +74,9 @@ FORGETTING_SINGLE = SingleLoraSpec(rank=9, alpha=18.0)
 
 FORGETTING_MODEL = dict(vocab_size=256, d_model=64, n_layers=2, n_heads=2,
                         d_ff=128, max_seq_len=64)
+# Full-batch Adam at this rate, for this many epochs on task A, then B.
+FORGETTING_LR = 1e-3
+FORGETTING_EPOCHS = (800, 200)
 
 
 @dataclass
@@ -102,19 +104,30 @@ class ForgettingResult:
 
     @property
     def wins(self) -> int:
+        """Seeds on which the mixture retains strictly more."""
         return sum(1 for mixture, single in self.pairs()
-                   if mixture.retention >= single.retention)
+                   if mixture.retention > single.retention)
+
+    @property
+    def losses(self) -> int:
+        return sum(1 for mixture, single in self.pairs()
+                   if mixture.retention < single.retention)
+
+    @property
+    def ties(self) -> int:
+        return len(self.pairs()) - self.wins - self.losses
 
     @property
     def passed(self) -> bool:
-        return self.wins * 2 > len(self.pairs())
+        return self.wins > self.losses
 
     def summary(self) -> str:
         lines = ["seed  kind     RA(A|A)  RA(A|B)  RA(B|B)"]
         for t in sorted(self.trials, key=lambda t: (t.seed, t.kind)):
             lines.append(f"{t.seed:4d}  {t.kind:7s}  {t.ra_a_after_a:7.4f}"
                          f"  {t.ra_a_after_b:7.4f}  {t.ra_b_after_b:7.4f}")
-        lines.append(f"mixture retains at least as much on {self.wins} of "
+        lines.append(f"mixture retains more on {self.wins}, less on "
+                     f"{self.losses} and as much on {self.ties} of "
                      f"{len(self.pairs())} seed(s)")
         return "\n".join(lines)
 
@@ -123,14 +136,14 @@ class ForgettingResult:
             "trials": [vars(t) for t in
                        sorted(self.trials, key=lambda t: (t.seed, t.kind))],
             "wins": self.wins,
+            "losses": self.losses,
+            "ties": self.ties,
             "seeds": len(self.pairs()),
             "passed": self.passed,
         }, sort_keys=True)
 
 
-def run_forgetting_trial(seed: int, adapters, kind: str,
-                         lr: float = 1e-3, epochs_a: int = 800,
-                         epochs_b: int = 200) -> ForgettingTrial:
+def run_forgetting_trial(seed: int, adapters, kind: str) -> ForgettingTrial:
     """Train on task A, then task B, probing task-A recall both times.
 
     The probe reuses the task-A training items: the mappings are
@@ -142,7 +155,8 @@ def run_forgetting_trial(seed: int, adapters, kind: str,
                         adapters=adapters)
     task_a, task_b = make_task_a(), make_task_b()
     embedder = TrigramEmbedder(dim=256)
-    base = dict(lr=lr, batch_size=len(task_a), seed=seed)
+    epochs_a, epochs_b = FORGETTING_EPOCHS
+    base = dict(lr=FORGETTING_LR, batch_size=len(task_a), seed=seed)
     train(model, task_a, TrainConfig(epochs=epochs_a, **base))
     ra_a_after_a = task_recall(model, task_a, embedder)
     train(model, task_b, TrainConfig(epochs=epochs_b, **base))
@@ -152,17 +166,13 @@ def run_forgetting_trial(seed: int, adapters, kind: str,
                            ra_b_after_b=task_recall(model, task_b, embedder))
 
 
-def run_forgetting_experiment(seeds=(0, 1, 2, 3, 4), lr: float = 1e-3,
-                              epochs_a: int = 800, epochs_b: int = 200,
-                              ) -> ForgettingResult:
+def run_forgetting_experiment(seeds=(0, 1, 2, 3, 4)) -> ForgettingResult:
     result = ForgettingResult()
     for seed in seeds:
         result.trials.append(run_forgetting_trial(
-            seed, FORGETTING_MIXTURE, "mixture", lr=lr,
-            epochs_a=epochs_a, epochs_b=epochs_b))
+            seed, FORGETTING_MIXTURE, "mixture"))
         result.trials.append(run_forgetting_trial(
-            seed, FORGETTING_SINGLE, "single", lr=lr,
-            epochs_a=epochs_a, epochs_b=epochs_b))
+            seed, FORGETTING_SINGLE, "single"))
     return result
 
 
@@ -189,6 +199,11 @@ OBJECT_WORDS = [
 ]
 
 COPY_COLORS = ["teal", "blue", "gold", "gray", "jade", "pink", "plum", "rust"]
+# Training prompts draw objects and rooms from the first COPY_POOL words.
+COPY_POOL = 8
+# At this threshold each held-out question retrieves only its own room.
+COPY_THETA = 0.65
+OPENBOOK_LR = 2e-3
 
 
 def room_sentence(obj: str, room: str, color: str) -> str:
@@ -208,8 +223,7 @@ class CopyFixture:
 
 
 def build_copy_fixture(seed: int = 0, n_train_rooms: int = 26,
-                       n_train_examples: int = 256, pool: int = 8,
-                       theta: float = 0.65) -> CopyFixture:
+                       n_train_examples: int = 256) -> CopyFixture:
     """Room-color corpus with held-out rooms and copy-only training data.
 
     Training examples are fully rendered open-book prompts drawn from a
@@ -227,15 +241,15 @@ def build_copy_fixture(seed: int = 0, n_train_rooms: int = 26,
     colors = [COPY_COLORS[i] for i in
               rng.integers(0, len(COPY_COLORS), size=len(ROOM_WORDS))]
     triples = list(zip(OBJECT_WORDS, ROOM_WORDS, colors))
-    cfg = RetrievalConfig(theta=theta, target_size=200, overlap=0)
+    cfg = RetrievalConfig(theta=COPY_THETA, target_size=200, overlap=0)
     docs = [(f"room-{room}", room_sentence(obj, room, color))
             for obj, room, color in triples]
     index = build_corpus_index(docs, cfg, TrigramEmbedder(dim=256))
 
     train_examples = []
     for _ in range(n_train_examples):
-        obj = OBJECT_WORDS[rng.integers(0, pool)]
-        room = ROOM_WORDS[rng.integers(0, min(pool, n_train_rooms))]
+        obj = OBJECT_WORDS[rng.integers(0, COPY_POOL)]
+        room = ROOM_WORDS[rng.integers(0, min(COPY_POOL, n_train_rooms))]
         color = COPY_COLORS[rng.integers(0, len(COPY_COLORS))]
         prompt = prompts.open_book_prompt(room_sentence(obj, room, color),
                                           room_question(obj, room))
@@ -268,8 +282,7 @@ class OpenClosedResult:
                 f"scenarios {json.dumps(self.scenario_counts, sort_keys=True)}")
 
 
-def run_openbook_experiment(seed: int = 0, lr: float = 2e-3,
-                            epochs: int = 64, theta: float = 0.65
+def run_openbook_experiment(seed: int = 0, epochs: int = 64
                             ) -> OpenClosedResult:
     """Train the copy task on seen rooms, compare eval modes on unseen.
 
@@ -281,14 +294,14 @@ def run_openbook_experiment(seed: int = 0, lr: float = 2e-3,
     onto the final position and the adapted FFN reads the color out,
     and the shallower model roughly halves the step cost.
     """
-    fixture = build_copy_fixture(seed=seed, theta=theta)
+    fixture = build_copy_fixture(seed=seed)
     model_cfg = ToyModelConfig(vocab_size=256, d_model=64, n_layers=1,
                                n_heads=2, d_ff=128, max_seq_len=384,
                                seed=seed)
     model = ToyCausalLm(model_cfg,
                         adapters=AdapterSpec(n_experts=4, top_k=2, rank=8,
                                              alpha=16.0))
-    cfg = TrainConfig(lr=lr, batch_size=8, epochs=epochs, seed=seed)
+    cfg = TrainConfig(lr=OPENBOOK_LR, batch_size=8, epochs=epochs, seed=seed)
     train(model, fixture.train_examples, cfg)
 
     embedder = TrigramEmbedder(dim=256)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .adapter import build_mixture, silu, silu_grad
+from .adapter import build_mixture, silu
 from .baseline import build_single_lora
 from .errors import ConfigError, ShapeError
 from .numerics import softmax_rows
@@ -98,7 +98,8 @@ class FrozenFfn:
     """Undecorated frozen FFN; same arithmetic as the adapted layers at init.
 
     Takes the projections as given: `ToyCausalLm` has already checked and
-    write-protected them.
+    write-protected them. Nothing trains, so backward never reaches it and
+    it keeps no cache.
     """
 
     def __init__(self, w1: Array, w2: Array):
@@ -106,13 +107,7 @@ class FrozenFfn:
         self.w2 = w2
 
     def forward_rows(self, x_rows: Array) -> tuple[Array, dict]:
-        hidden = x_rows @ self.w1.T
-        return silu(hidden) @ self.w2.T, {"x": x_rows, "hidden": hidden}
-
-    def backward_rows(self, cache: dict, upstream_rows: Array
-                      ) -> tuple[Array, dict[str, Array]]:
-        d_hidden = (upstream_rows @ self.w2) * silu_grad(cache["hidden"])
-        return d_hidden @ self.w1, {}
+        return silu(x_rows @ self.w1.T) @ self.w2.T, {}
 
     def trainable(self) -> dict[str, Array]:
         return {}
@@ -341,7 +336,7 @@ class ToyCausalLm:
         x_final, r_final = _rms_forward(x, self.g_final)
         logits = x_final @ self.w_unembed.T
         if with_cache:
-            return logits, {"ids": ids, "blocks": caches, "x_last": x,
+            return logits, {"blocks": caches, "x_last": x,
                             "r_final": r_final, "inv_sqrt": inv_sqrt}
         if past is not None:
             return logits, KvCache(tuple(keys), tuple(values))

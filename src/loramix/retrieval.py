@@ -24,7 +24,8 @@ from .errors import ClientError, ConfigError, FormatError, ShapeError
 
 Array = np.ndarray
 
-DEFAULT_SEPARATORS = ("\n\n", "\n", " ", "")
+# Split points, coarsest first; "" is the forced character cut.
+SEPARATORS = ("\n\n", "\n", " ", "")
 UNIT_NORM_TOL = 1e-9
 
 
@@ -33,7 +34,6 @@ class RetrievalConfig:
     theta: float = 0.87
     target_size: int = 1000
     overlap: int = 100
-    separators: tuple[str, ...] = DEFAULT_SEPARATORS
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
@@ -43,8 +43,6 @@ class RetrievalConfig:
                 f"need target_size > overlap >= 0, got target_size="
                 f"{self.target_size}, overlap={self.overlap}"
             )
-        if not self.separators or self.separators[-1] != "":
-            raise ConfigError('separators must end with "" (character fallback)')
 
 
 @dataclass
@@ -71,7 +69,7 @@ def split_recursive(text: str, source_doc: str, cfg: RetrievalConfig
     if not text:
         return []
     core_budget = cfg.target_size - cfg.overlap
-    cores = _split_cores(text, list(cfg.separators), core_budget)
+    cores = _split_cores(text, SEPARATORS, core_budget)
     chunks: list[Chunk] = []
     prev_core = ""
     for i, core in enumerate(cores):
@@ -86,11 +84,10 @@ def split_recursive(text: str, source_doc: str, cfg: RetrievalConfig
     return chunks
 
 
-def _split_cores(text: str, separators: list[str], budget: int) -> list[str]:
+def _split_cores(text: str, separators: tuple[str, ...], budget: int
+                 ) -> list[str]:
     if len(text) <= budget:
         return [text]
-    if not separators:
-        separators = [""]
     sep = separators[0]
     rest = separators[1:]
     if sep == "":
@@ -118,11 +115,6 @@ def _split_cores(text: str, separators: list[str], budget: int) -> list[str]:
     if buf:
         out.append(buf)
     return out
-
-
-def reconstruct(chunks: Iterable[Chunk]) -> str:
-    """Inverse of split_recursive for chunks of a single document."""
-    return "".join(c.text[c.lead:] for c in chunks)
 
 
 class Embedder(Protocol):
@@ -164,24 +156,21 @@ class TrigramEmbedder:
 class HttpEmbedderClient:
     """Remote embedder: POST {"text": ...} -> {"embedding": [...]}.
 
-    Transport failures retry up to `retries` times and then surface as
+    Transport failures retry up to HTTP_RETRIES times and then surface as
     ClientError; malformed bodies surface as FormatError with the raw
     payload attached.
     """
 
-    def __init__(self, endpoint: str, dim: int, timeout: float = 10.0,
-                 retries: int = 2):
+    def __init__(self, endpoint: str, dim: int, timeout: float = 10.0):
         self.endpoint = endpoint
         self.dim = dim
         self.timeout = timeout
-        self.retries = retries
 
     def embed(self, text: str) -> Array:
         if not text:
             raise ValueError("cannot embed empty text")
         body = json.dumps({"text": text}).encode("utf-8")
         raw = post_with_retries(self.endpoint, body, self.timeout,
-                                self.retries,
                                 headers={"Content-Type": "application/json"})
         try:
             payload = json.loads(raw)
@@ -196,15 +185,18 @@ class HttpEmbedderClient:
         return vec
 
 
-def post_with_retries(url: str, body: bytes, timeout: float, retries: int,
+HTTP_RETRIES = 2
+
+
+def post_with_retries(url: str, body: bytes, timeout: float,
                       headers: dict[str, str]) -> str:
     """POST `body` and return the decoded response body.
 
-    Transport failures are retried; after `retries + 1` failed attempts
-    the last one surfaces as ClientError.
+    Transport failures are retried; after `HTTP_RETRIES + 1` failed
+    attempts the last one surfaces as ClientError.
     """
     last: Exception | None = None
-    for _ in range(retries + 1):
+    for _ in range(HTTP_RETRIES + 1):
         req = urllib.request.Request(url, data=body, headers=headers,
                                      method="POST")
         try:
@@ -212,7 +204,8 @@ def post_with_retries(url: str, body: bytes, timeout: float, retries: int,
                 return resp.read().decode("utf-8")
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             last = exc
-    raise ClientError(f"POST {url} failed after {retries + 1} attempts: {last}")
+    raise ClientError(f"POST {url} failed after {HTTP_RETRIES + 1} attempts: "
+                      f"{last}")
 
 
 class VectorIndex:

@@ -175,13 +175,9 @@ def train(model: ToyCausalLm, examples: list[TrainExample], cfg: TrainConfig
             if not math.isfinite(loss):
                 raise StateError(f"non-finite loss {loss} at epoch {epoch}, "
                                  f"step {len(trace)}")
-            updates = {}
-            for name, arr in model.trainable_params().items():
-                g = grads.get(name)
-                if g is None:
-                    g = np.zeros_like(arr)
-                updates[name] = adam_step(arr, g, states[name])
-            model.apply_updates(updates)
+            model.apply_updates({
+                name: adam_step(arr, grads[name], states[name])
+                for name, arr in params.items()})
             trace.append(loss)
     return TrainResult(loss_trace=trace, steps=len(trace))
 
@@ -234,7 +230,7 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
 
     worst = 0.0
     for name, arr in model.trainable_params().items():
-        a_grad = analytic.get(name, np.zeros_like(arr))
+        a_grad = analytic[name]
         flat = arr.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
@@ -281,14 +277,16 @@ ADAPTER_KINDS = {"mixture": AdapterSpec, "single": SingleLoraSpec,
 
 
 def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
-    """Write model_config.json (model config, adapter kind and spec) and
-    weights.bin (every `base_arrays()` and `trainable_params()` array)."""
+    """Write model_config.json (model config, adapter kind and spec, and
+    the base weights' sha256) and weights.bin (every `base_arrays()` and
+    `trainable_params()` array)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = model.adapters
     kind = next(k for k, cls in ADAPTER_KINDS.items() if type(spec) is cls)
     cfg_payload = {"model": asdict(model.cfg), "adapter_kind": kind,
-                   "adapter": {} if spec is None else asdict(spec)}
+                   "adapter": {} if spec is None else asdict(spec),
+                   "base_sha256": model.base_weight_sha256()}
     (directory / "model_config.json").write_text(
         json.dumps(cfg_payload, sort_keys=True, indent=2) + "\n")
     _write_arrays(directory / "weights.bin",
@@ -297,7 +295,8 @@ def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
 
 def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     """Inverse of `save_checkpoint`; FormatError for a malformed config, a
-    malformed weight file, or array names other than the model's."""
+    malformed weight file, array names other than the model's, or base
+    weights whose sha256 is not the recorded one."""
     directory = Path(directory)
     try:
         cfg_payload = json.loads((directory / "model_config.json").read_text())
@@ -330,6 +329,10 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     if missing or unknown:
         raise FormatError(f"checkpoint weights: missing {sorted(missing)}, "
                           f"unknown {sorted(unknown)}")
+    recorded = cfg_payload.get("base_sha256")
+    if recorded != model.base_weight_sha256():
+        raise FormatError("checkpoint base weights do not match base_sha256 "
+                          f"{recorded!r}")
     model.apply_updates({name: arrays[name] for name in trainable})
     return model
 

@@ -371,8 +371,10 @@ def test_criterion_09_directional_forgetting_soft():
         assert mixture.ra_a_after_a >= 0.5, "first phase was not learned"
         assert single.ra_a_after_a >= 0.5, "first phase was not learned"
     report(9, "directional forgetting (soft)", result.passed,
-           f"mixture retention >= single adapter on {result.wins} of "
-           f"{len(result.pairs())} seeds ({floor_ties} ties at floor)",
+           f"mixture retains more than the single adapter on "
+           f"{result.wins}, less on {result.losses} and as much on "
+           f"{result.ties} of {len(result.pairs())} seeds ({floor_ties} "
+           f"ties at floor)",
            elapsed, budget=600.0, soft=True)
 
 

@@ -322,6 +322,8 @@ CORRUPTIONS = [
         lambda a: a.update({"block0.expert1.up": a["block0.expert1.up"].T}))),
     ("misshaped-base", _edit_arrays(
         lambda a: a.update({"wpe": a["wpe"][:-1]}))),
+    ("altered-base-value", _edit_arrays(
+        lambda a: a.update({"wte": a["wte"] + 0.5}))),
     ("old-layout", _old_layout),
 ]
 

@@ -9,7 +9,7 @@ from loramix.curation import (HttpChatClient, QaRecord, StubGenerator, curate,
                               first_sentence, generate_ground_truth,
                               generate_question, load_records, save_records)
 from loramix.errors import ClientError, FormatError
-from loramix.retrieval import RetrievalConfig, TrigramEmbedder
+from loramix.retrieval import HTTP_RETRIES, RetrievalConfig, TrigramEmbedder
 
 
 @pytest.fixture(scope="module")
@@ -65,18 +65,20 @@ class TestHttpChatClient:
     def test_gives_up_after_retries_plus_one_attempts(self, monkeypatch):
         urlopen = FlakyUrlopen(failures=10, body=b"")
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        client = HttpChatClient("http://localhost:9/chat", retries=2)
-        with pytest.raises(ClientError, match="after 3 attempts"):
+        client = HttpChatClient("http://localhost:9/chat")
+        with pytest.raises(ClientError,
+                           match=f"after {HTTP_RETRIES + 1} attempts"):
             client.complete(self.MESSAGES)
-        assert urlopen.attempts == 3
+        assert urlopen.attempts == HTTP_RETRIES + 1
 
     def test_success_on_a_later_attempt_returns_the_body(self, monkeypatch):
         body = json.dumps({"choices": [{"message": {"content": "answer"}}]})
-        urlopen = FlakyUrlopen(failures=2, body=body.encode("utf-8"))
+        urlopen = FlakyUrlopen(failures=HTTP_RETRIES,
+                               body=body.encode("utf-8"))
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        client = HttpChatClient("http://localhost:9/chat", retries=2)
+        client = HttpChatClient("http://localhost:9/chat")
         assert client.complete(self.MESSAGES) == "answer"
-        assert urlopen.attempts == 3
+        assert urlopen.attempts == HTTP_RETRIES + 1
 
 
 class TestStubGenerator:

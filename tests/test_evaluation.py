@@ -1,4 +1,5 @@
 import json
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 from loramix.curation import QaRecord, StubGenerator
 from loramix.errors import ConfigError, EvaluationError, FormatError
-from loramix.evaluation import (EvalConfig, EvalReport, RaWeights, Scenario,
-                                StubJudge, classify_scenario, compute_fl,
+from loramix.evaluation import (EvalConfig, EvalReport, HttpJudgeClient,
+                                RaWeights, Scenario, StubJudge,
+                                classify_scenario, compute_fl,
                                 compute_qr, compute_ra, compute_rr,
                                 detect_refusal, evaluate, score_context,
                                 statement_f1)
 from loramix.retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                                split_recursive)
+from test_curation import FlakyUrlopen
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "ra_golden.json"
 
@@ -205,6 +208,28 @@ class FixedJudge:
 class FailingJudge:
     def score(self, prompt):
         raise RuntimeError("judge endpoint down")
+
+
+class TestHttpJudgeClient:
+    @staticmethod
+    def judge(monkeypatch, content: str) -> HttpJudgeClient:
+        body = json.dumps({"choices": [{"message": {"content": content}}]})
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            FlakyUrlopen(failures=0,
+                                         body=body.encode("utf-8")))
+        return HttpJudgeClient("http://localhost:9/judge")
+
+    @pytest.mark.parametrize("content,score", [
+        ("0.25, or maybe 0.9", 0.25), ("Score: 7 out of 10", 1.0),
+        ("-0.5", 0.0), ("1", 1.0)])
+    def test_first_number_clamped_into_unit_interval(self, monkeypatch,
+                                                     content, score):
+        assert self.judge(monkeypatch, content).score("prompt") == score
+
+    def test_reply_without_number_is_a_format_error(self, monkeypatch):
+        with pytest.raises(FormatError, match="no number") as exc:
+            self.judge(monkeypatch, "excellent").score("prompt")
+        assert exc.value.payload == "excellent"
 
 
 class TestComputeFl:

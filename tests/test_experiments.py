@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from loramix.experiments import (COPY_COLORS, FORGETTING_MODEL,
@@ -57,8 +59,25 @@ class TestForgettingBookkeeping:
         result = ForgettingResult(
             trials=self.trials([(0.5, 0.4), (0.2, 0.2), (0.1, 0.3),
                                 (0.6, 0.1), (0.0, 0.2)]))
-        assert result.wins == 3
-        assert result.passed
+        assert (result.wins, result.losses, result.ties) == (2, 2, 1)
+        assert not result.passed
+
+    def test_ties_count_for_neither_arm(self):
+        def result(wins, losses, ties):
+            return ForgettingResult(trials=self.trials(
+                [(0.3, 0.1)] * wins + [(0.0, 0.2)] * losses
+                + [(0.0, 0.0)] * ties))
+
+        one_each = result(1, 1, 3)
+        assert (one_each.wins, one_each.losses, one_each.ties) == (1, 1, 3)
+        assert not one_each.passed
+        assert result(1, 0, 4).passed
+        assert not result(0, 0, 5).passed
+        payload = json.loads(one_each.to_json())
+        assert (payload["wins"], payload["losses"], payload["ties"]) == \
+            (1, 1, 3)
+        assert "more on 1, less on 1 and as much on 3 of 5" in \
+            one_each.summary()
 
     def test_two_wins_is_a_miss(self):
         result = ForgettingResult(

@@ -5,9 +5,14 @@ import pytest
 
 import loramix
 
+PACKAGE = Path(loramix.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports names only to re-export them.
-MODULES = sorted(p for p in Path(loramix.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Where a package name may have its callers: the package itself, the
+# experiment scripts and the benchmark. Tests do not count.
+CALLERS = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+           *(ROOT / "perfbench").glob("*.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +47,48 @@ def test_exports_resolve_and_are_listed_once():
     assert len(loramix.__all__) == len(set(loramix.__all__))
     missing = [name for name in loramix.__all__ if not hasattr(loramix, name)]
     assert missing == []
+
+
+def uncalled_names(defining: list[str], using: list[str]) -> list[str]:
+    """Functions, methods and classes the `defining` sources define whose
+    name no `using` source reads as a name, an attribute, an import or a
+    string; dunder names are exempt."""
+    defined = set()
+    for source in defining:
+        defined |= {node.name for node in ast.walk(ast.parse(source))
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                         ast.AsyncFunctionDef))}
+    used = set()
+    for source in using:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used |= {*node.name.split("."), node.asname}
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                used.add(node.value)
+    return sorted(name for name in defined - used
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_caller_scan_sees_each_kind_of_use():
+    defining = ("class Used:\n"
+                "    def method(self): ...\n"
+                "    def __len__(self): ...\n"
+                "def imported(): ...\n"
+                "def named_in_string(): ...\n"
+                "def orphan(): ...\n"
+                "class Orphan: ...\n")
+    using = ("from .mod import imported as alias\n"
+             "Used().method()\n"
+             "getattr(alias, 'named_in_string')\n")
+    assert uncalled_names([defining], [using]) == ["Orphan", "orphan"]
+
+
+def test_every_package_name_has_a_caller():
+    read = [p.read_text(encoding="utf-8") for p in CALLERS]
+    defining = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert uncalled_names(defining, read) == []

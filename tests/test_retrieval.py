@@ -1,21 +1,28 @@
 import json
+import urllib.request
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loramix.errors import ConfigError, FormatError
+from loramix.errors import ClientError, ConfigError, FormatError
 from loramix.numerics import cosine_similarity
-from loramix.retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
-                               VectorIndex, build_corpus_index, reconstruct,
-                               retrieve, split_recursive)
+from loramix.retrieval import (HTTP_RETRIES, CorpusIndex, HttpEmbedderClient,
+                               RetrievalConfig, TrigramEmbedder, VectorIndex,
+                               build_corpus_index, retrieve, split_recursive)
+from test_curation import FlakyUrlopen
 
 
 WORDS = ["router", "expert", "gate", "prism", "siphon", "lens", "aqueduct",
          "mixture", "adapter", "frozen", "water", "light"]
 
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
+
+
+def reconstruct(chunks) -> str:
+    """Inverse of split_recursive for chunks of a single document."""
+    return "".join(c.text[c.lead:] for c in chunks)
 
 
 class TestSplit:
@@ -71,8 +78,6 @@ class TestSplit:
             RetrievalConfig(theta=1.5)
         with pytest.raises(ConfigError):
             RetrievalConfig(target_size=100, overlap=100)
-        with pytest.raises(ConfigError):
-            RetrievalConfig(separators=("\n\n", "\n"))
 
     def test_default_theta_is_pinned(self):
         assert RetrievalConfig().theta == 0.87
@@ -101,6 +106,34 @@ class TestTrigramEmbedder:
     @given(text=texts)
     def test_norm_property(self, embedder, text):
         assert abs(np.linalg.norm(embedder.embed(text)) - 1.0) <= 1e-9
+
+
+class TestHttpEmbedderClient:
+    URL = "http://localhost:9/embed"
+
+    def test_gives_up_after_retries_plus_one_attempts(self, monkeypatch):
+        urlopen = FlakyUrlopen(failures=10, body=b"")
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(ClientError,
+                           match=f"after {HTTP_RETRIES + 1} attempts"):
+            HttpEmbedderClient(self.URL, dim=3).embed("text")
+        assert urlopen.attempts == HTTP_RETRIES + 1
+
+    def test_wrong_dimension_is_a_format_error(self, monkeypatch):
+        body = json.dumps({"embedding": [0.6, 0.8]}).encode("utf-8")
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            FlakyUrlopen(failures=0, body=body))
+        with pytest.raises(FormatError, match="expected \\(3,\\)") as exc:
+            HttpEmbedderClient(self.URL, dim=3).embed("text")
+        assert exc.value.payload == body.decode("utf-8")
+
+    def test_returns_the_vector_of_a_good_reply(self, monkeypatch):
+        body = json.dumps({"embedding": [0.0, 0.6, 0.8]}).encode("utf-8")
+        urlopen = FlakyUrlopen(failures=HTTP_RETRIES, body=body)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        vec = HttpEmbedderClient(self.URL, dim=3).embed("text")
+        assert vec.tolist() == [0.0, 0.6, 0.8]
+        assert urlopen.attempts == HTTP_RETRIES + 1
 
 
 def brute_force(query, index, theta, embedder):

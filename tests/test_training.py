@@ -268,6 +268,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="adapter"):
             load_checkpoint(tmp_path)
 
+    def test_config_without_base_digest_refused(self, tmp_path):
+        save_checkpoint(tmp_path, small_lm())
+        path = tmp_path / "model_config.json"
+        payload = json.loads(path.read_text())
+        assert payload.pop("base_sha256") == small_lm().base_weight_sha256()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="base_sha256"):
+            load_checkpoint(tmp_path)
+
     def test_save_is_deterministic(self, tmp_path):
         model = small_lm()
         save_checkpoint(tmp_path / "a", model)
