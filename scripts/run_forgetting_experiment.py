@@ -3,9 +3,10 @@
 
 Usage: python3 scripts/run_forgetting_experiment.py [--seeds N] [--json PATH]
 
-Trains a single low-rank adapter and a matched-budget mixture on task A
-then task B, over several seeds, and reports task-A recall accuracy at
-each stage. Expect a few minutes of CPU time with the defaults.
+Trains a single low-rank adapter (a one-expert mixture) and a
+matched-budget 4-expert mixture on task A then task B, over several
+seeds, and reports task-A recall accuracy at each stage. Expect a few
+minutes of CPU time with the defaults.
 """
 
 import argparse

@@ -5,8 +5,7 @@ plus the retrieval, curation, and evaluation pipeline around them.
 __version__ = "0.1.0"
 
 from .adapter import MixtureFfn
-from .baseline import SingleLoraFfn
-from .model import AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig
+from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from .retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                         retrieve, split_recursive)
 from .training import TrainConfig, TrainExample, gradient_check, train
@@ -19,8 +18,6 @@ __all__ = [
     "EvalReport",
     "MixtureFfn",
     "RetrievalConfig",
-    "SingleLoraFfn",
-    "SingleLoraSpec",
     "ToyCausalLm",
     "ToyModelConfig",
     "TrainConfig",

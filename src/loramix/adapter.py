@@ -27,11 +27,6 @@ def silu(x: Array) -> Array:
     return x / (1.0 + np.exp(-x))
 
 
-def silu_grad(x: Array) -> Array:
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
-
-
 def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
     """Top-k routing of a stack of router logits, one row per input.
 
@@ -40,10 +35,16 @@ def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
     going to the lower index; `denom`, the selected scores' sum per row;
     and `mix`, the selected scores divided by `denom` at their expert
     columns and zero elsewhere, so each row sums to one.
+
+    A lone expert takes every row with weight 1, the softmax of one
+    finite logit, so that case skips the sort and the scatter.
     """
     n = logits.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if n == 1:
+        ones = np.ones(logits.shape)
+        return ones, np.zeros(logits.shape, dtype=np.intp), ones, ones
     full = softmax_rows(logits)
     # Stable argsort on negated scores: equal scores keep index order.
     order = np.argsort(-full, axis=1, kind="stable")[:, :k]
@@ -140,10 +141,11 @@ class MixtureFfn:
         gate = np.repeat(mix, self.down.shape[1], axis=1)   # (N, E*r)
         p = x_rows @ down_cat.T                             # (N, E*r)
         hidden = x_rows @ self.w1.T + self.scale * ((gate * p) @ up_cat)
-        out = silu(hidden) @ self.w2.T
+        den = 1.0 + np.exp(-hidden)            # silu(h) = h / den
+        out = (hidden / den) @ self.w2.T
         cache = {
             "x": x_rows, "full": full, "order": order, "denom": denom,
-            "mix": mix, "gate": gate, "p": p, "hidden": hidden,
+            "mix": mix, "gate": gate, "p": p, "hidden": hidden, "den": den,
         }
         return out, cache
 
@@ -153,34 +155,40 @@ class MixtureFfn:
 
         Returns the gradient with respect to the input rows plus a dict of
         gradients for every trainable tensor. Unselected experts get exact
-        zeros; the frozen projections get no entry at all.
+        zeros, and so does the router of a lone expert, whose weight is
+        the constant 1; the frozen projections get no entry at all.
         """
         x_rows, gate, p = cache["x"], cache["gate"], cache["p"]
         full, order, denom = cache["full"], cache["order"], cache["denom"]
+        hidden, s = cache["hidden"], 1.0 / cache["den"]
         down_cat, up_cat = self._flat_factors()
 
-        d_hidden = (upstream_rows @ self.w2) * silu_grad(cache["hidden"])
+        d_hidden = (upstream_rows @ self.w2) * (s * (1.0 + hidden * (1.0 - s)))
         q = d_hidden @ up_cat.T                        # (N, E*r)
         d_p = self.scale * (gate * q)                  # zero when unselected
         d_up = self.scale * d_hidden.T @ (gate * p)    # (d_ff, E*r)
         n, rank = self.down.shape[:2]
-        d_mix = self.scale * (p * q).reshape(-1, n, rank).sum(axis=2)
-
-        # Renormalization backward, restricted to the selected set; the
-        # dropped experts' mixing weights are constants (zero), so only
-        # the softmax coupling below routes gradient to their logits.
-        picked_d = np.take_along_axis(d_mix, order, axis=1)
-        picked_s = np.take_along_axis(full, order, axis=1)
-        dot = np.sum(picked_d * picked_s, axis=1, keepdims=True)
-        d_sel = picked_d / denom - dot / denom**2
-        d_full = np.zeros_like(full)
-        np.put_along_axis(d_full, order, d_sel, axis=1)
-        d_logits = full * (d_full - np.sum(d_full * full, axis=1, keepdims=True))
-
-        d_x = d_hidden @ self.w1 + d_p @ down_cat + d_logits @ self.router.T
+        d_x = d_hidden @ self.w1 + d_p @ down_cat
+        if n == 1:
+            d_router = np.zeros_like(self.router)
+        else:
+            d_mix = self.scale * (p * q).reshape(-1, n, rank).sum(axis=2)
+            # Renormalization backward, restricted to the selected set; the
+            # dropped experts' mixing weights are constants (zero), so only
+            # the softmax coupling below routes gradient to their logits.
+            picked_d = np.take_along_axis(d_mix, order, axis=1)
+            picked_s = np.take_along_axis(full, order, axis=1)
+            dot = np.sum(picked_d * picked_s, axis=1, keepdims=True)
+            d_sel = picked_d / denom - dot / denom**2
+            d_full = np.zeros_like(full)
+            np.put_along_axis(d_full, order, d_sel, axis=1)
+            d_logits = full * (d_full - np.sum(d_full * full, axis=1,
+                                               keepdims=True))
+            d_x += d_logits @ self.router.T
+            d_router = x_rows.T @ d_logits
         grads = _named((d_p.T @ x_rows).reshape(self.down.shape),
                        d_up.reshape(-1, n, rank).transpose(1, 0, 2),
-                       x_rows.T @ d_logits)
+                       d_router)
         return d_x, grads
 
     # -- parameter access -----------------------------------------------------

@@ -1,9 +1,10 @@
 """Plain single low-rank adapter on a frozen FFN, no routing.
 
-Written as a separate straight-line implementation rather than a wrapper
-around the mixture layer, so the two can be compared against each other:
-a one-expert, top-1 mixture must reproduce this layer's training run
-step for step.
+An independent oracle with no production caller: acceptance check 4
+trains a one-expert, top-1 mixture against this separate straight-line
+implementation and requires the two runs to agree step for step. The
+comparison arm of the experiments is that one-expert mixture, not this
+class.
 """
 
 from __future__ import annotations
@@ -85,15 +86,3 @@ class SingleLoraFfn:
 
     def trainable(self) -> dict[str, Array]:
         return {"adapter.down": self.down, "adapter.up": self.up}
-
-
-def build_single_lora(d_in: int, d_ff: int, w1: Array, w2: Array, rank: int,
-                      alpha: float, seed: int, layer_index: int) -> SingleLoraFfn:
-    """Initialize from the same derived stream as expert 0 of a mixture."""
-    from . import seeding
-
-    rng = seeding.rng_for(seed, seeding.EXPERT, layer_index, 0)
-    bound = 1.0 / np.sqrt(d_in)
-    down = rng.uniform(-bound, bound, size=(rank, d_in))
-    up = np.zeros((d_ff, rank))
-    return SingleLoraFfn(w1=w1, w2=w2, down=down, up=up, rank=rank, alpha=alpha)

@@ -162,8 +162,9 @@ _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?")
 class HttpJudgeClient:
     """Judge over the chat-completion wire format.
 
-    The scoring prompt goes out as a single user message; the first
-    number in the reply is the score, clamped into [0, 1].
+    The scoring prompt goes out as a single user message. The reply must
+    hold exactly one number, inside [0, 1], and that number is the
+    score; any other reply is a FormatError carrying the reply.
     """
 
     def __init__(self, endpoint: str, model: str = "default",
@@ -173,10 +174,12 @@ class HttpJudgeClient:
 
     def score(self, prompt: str) -> float:
         reply = self._chat.complete([{"role": "user", "content": prompt}])
-        m = _FLOAT_RE.search(reply)
-        if not m:
-            raise FormatError("judge reply contains no number", payload=reply)
-        return min(max(float(m.group(0)), 0.0), 1.0)
+        numbers = _FLOAT_RE.findall(reply)
+        if len(numbers) != 1 or not 0.0 <= float(numbers[0]) <= 1.0:
+            raise FormatError("judge reply must hold one number in [0, 1], "
+                              f"found {', '.join(numbers) or 'no number'}",
+                              payload=reply)
+        return float(numbers[0])
 
 
 class StubJudge:

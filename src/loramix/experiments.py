@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .evaluation import RA_WEIGHTS, EvalConfig, compute_ra, evaluate
-from .model import (AdapterSpec, SingleLoraSpec, ToyCausalLm, ToyModelConfig)
+from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from .retrieval import (CorpusIndex, RetrievalConfig, TrigramEmbedder,
                         build_corpus_index)
 from .curation import QaRecord
@@ -65,12 +65,15 @@ def task_recall(model: ToyCausalLm, examples: list[TrainExample],
     return total / len(examples)
 
 
-# Matched trainable budgets per layer at d_model=64, d_ff=128:
-# one rank-9 adapter holds 9*64 + 128*9 = 1728 scalars; four rank-2
-# experts plus their router hold 4*(2*64 + 128*2) + 64*4 = 1792, a 3.6%
-# difference. Both use the same alpha/rank scale of 2.
+# Matched trainable budgets per layer at d_model=64, d_ff=128: four
+# rank-2 experts plus their router hold 4*(2*64 + 128*2) + 64*4 = 1792
+# scalars, and so does the comparison arm, one rank-9 expert
+# (9*64 + 128*9 = 1728) plus its 64-scalar router. A lone expert's
+# weight is always 1, so that router gets zero gradient and never moves:
+# the arm is one plain low-rank adapter. Both use the same alpha/rank
+# scale of 2.
 FORGETTING_MIXTURE = AdapterSpec(n_experts=4, top_k=2, rank=2, alpha=4.0)
-FORGETTING_SINGLE = SingleLoraSpec(rank=9, alpha=18.0)
+FORGETTING_SINGLE = AdapterSpec(n_experts=1, top_k=1, rank=9, alpha=18.0)
 
 FORGETTING_MODEL = dict(vocab_size=256, d_model=64, n_layers=2, n_heads=2,
                         d_ff=128, max_seq_len=64)

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import seeding
 from .adapter import build_mixture, silu
-from .baseline import build_single_lora
 from .errors import ConfigError, ShapeError
 from .numerics import softmax_rows
 
@@ -80,18 +79,6 @@ class AdapterSpec:
             raise ConfigError(
                 f"top_k={self.top_k} must lie in [1, {self.n_experts}]"
             )
-
-
-@dataclass(frozen=True)
-class SingleLoraSpec:
-    """One plain low-rank adapter on every FFN (comparison baseline)."""
-
-    rank: int = 8
-    alpha: float = 16.0
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
 
 
 class FrozenFfn:
@@ -169,7 +156,7 @@ class ToyCausalLm:
     """Small frozen transformer whose FFN layers carry the trainable adapters."""
 
     def __init__(self, cfg: ToyModelConfig,
-                 adapters: AdapterSpec | SingleLoraSpec | None = AdapterSpec(),
+                 adapters: AdapterSpec | None = AdapterSpec(),
                  base_weights: dict[str, Array] | None = None):
         self.cfg = cfg
         self.adapters = adapters
@@ -185,10 +172,6 @@ class ToyCausalLm:
             w2 = _frozen(base[p + "ffn.w2"], (cfg.d_model, cfg.d_ff))
             if adapters is None:
                 ffn = FrozenFfn(w1, w2)
-            elif isinstance(adapters, SingleLoraSpec):
-                ffn = build_single_lora(cfg.d_model, cfg.d_ff, w1, w2,
-                                        adapters.rank, adapters.alpha,
-                                        cfg.seed, layer)
             else:
                 ffn = build_mixture(cfg.d_model, cfg.d_ff, w1, w2,
                                     adapters.n_experts, adapters.top_k,

@@ -4,8 +4,8 @@ Every randomly initialized tensor gets its own generator derived from the
 run seed plus a structural key (component code, layer index, sub index).
 Two builds that share a seed therefore agree on any component they have in
 common, even when one of them skips components the other draws; this is
-what lets a single-adapter model reproduce expert 0 of a mixture bit for
-bit.
+what lets a plain adapter drawn from expert 0's stream reproduce a
+one-expert mixture bit for bit.
 """
 
 from __future__ import annotations

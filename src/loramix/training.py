@@ -18,8 +18,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, FormatError, StateError, from_fields
-from .model import (AdapterSpec, NEWLINE, SingleLoraSpec, ToyCausalLm,
-                    ToyModelConfig, encode_text)
+from .model import (AdapterSpec, NEWLINE, ToyCausalLm, ToyModelConfig,
+                    encode_text)
 from .numerics import AdamState, adam_step
 
 Array = np.ndarray
@@ -272,8 +272,7 @@ def _assert_gating_margins(model: ToyCausalLm, ids: list[int],
 
 # The adapter_kind model_config.json names, and the adapter spec type each
 # stands for; an undecorated model has no spec.
-ADAPTER_KINDS = {"mixture": AdapterSpec, "single": SingleLoraSpec,
-                 "none": type(None)}
+ADAPTER_KINDS = {"mixture": AdapterSpec, "none": type(None)}
 
 
 def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:

@@ -17,6 +17,10 @@ TINY_CFG = ToyModelConfig(vocab_size=16, d_model=8, n_layers=1, n_heads=2,
 
 TINY_ADAPTERS = AdapterSpec(n_experts=2, top_k=1, rank=2, alpha=4.0)
 
+# The comparison arm's shape: one expert, so no routing, i.e. one plain
+# low-rank adapter. Test ids call it "single", as check 9 labels the arm.
+ONE_EXPERT = AdapterSpec(n_experts=1, top_k=1, rank=2, alpha=4.0)
+
 
 @pytest.fixture(scope="session")
 def tiny_model() -> ToyCausalLm:

@@ -9,20 +9,24 @@ gate the build.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from loramix import seeding
 from loramix.adapter import MixtureFfn, route_rows
+from loramix.baseline import SingleLoraFfn
 from loramix.evaluation import (EvalConfig, RaWeights, StubJudge,
                                 classify_scenario, compute_ra, compute_rr,
                                 evaluate)
 from loramix.experiments import run_forgetting_experiment, \
     run_openbook_experiment
-from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
-                           ToyModelConfig)
+from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig
 from loramix.retrieval import (RetrievalConfig, TrigramEmbedder, VectorIndex,
                                retrieve)
 from loramix.training import (TrainConfig, TrainExample, gradient_check,
@@ -186,13 +190,30 @@ def test_criterion_03_gating_contract():
            time.monotonic() - start, budget=10.0)
 
 
+def build_single_lora(d_in: int, d_ff: int, w1, w2, rank: int, alpha: float,
+                      seed: int, layer_index: int) -> SingleLoraFfn:
+    """The oracle adapter, drawn from the same stream as a mixture's
+    expert 0, so it starts where a one-expert mixture starts."""
+    rng = seeding.rng_for(seed, seeding.EXPERT, layer_index, 0)
+    bound = 1.0 / np.sqrt(d_in)
+    down = rng.uniform(-bound, bound, size=(rank, d_in))
+    return SingleLoraFfn(w1=w1, w2=w2, down=down, up=np.zeros((d_ff, rank)),
+                         rank=rank, alpha=alpha)
+
+
 def test_criterion_04_degenerate_mixture_equals_single_adapter():
     start = time.monotonic()
     cfg = ToyModelConfig(vocab_size=256, d_model=16, n_layers=2, n_heads=2,
                          d_ff=32, max_seq_len=64, seed=4)
     moe = ToyCausalLm(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
                                        alpha=8.0))
-    single = ToyCausalLm(cfg, SingleLoraSpec(rank=4, alpha=8.0))
+    # The plain twin: the same model with every FFN swapped for the
+    # independent single-adapter oracle.
+    single = ToyCausalLm(cfg, AdapterSpec(n_experts=1, top_k=1, rank=4,
+                                          alpha=8.0))
+    for layer, block in enumerate(single.blocks):
+        block.ffn = build_single_lora(cfg.d_model, cfg.d_ff, block.ffn.w1,
+                                      block.ffn.w2, 4, 8.0, cfg.seed, layer)
     tcfg = TrainConfig(lr=1e-3, batch_size=4, epochs=12, seed=4)
     trace_moe = train(moe, COLOR_EXAMPLES, tcfg).loss_trace
     trace_single = train(single, COLOR_EXAMPLES, tcfg).loss_trace
@@ -323,33 +344,65 @@ def test_criterion_07_metric_oracles(embedder):
            time.monotonic() - start, budget=5.0)
 
 
+def pipeline_artifacts(root: Path) -> dict[str, bytes]:
+    """Run curate, train and both evals with stub clients in a fresh
+    workspace under root; return the nine artifacts check 8 compares."""
+    cfg = test_cli.make_workspace(root)
+    assert test_cli.run(cfg, "curate") == 0
+    assert test_cli.run(cfg, "train") == 0
+    assert test_cli.run(cfg, "eval", "--mode", "open") == 0
+    assert test_cli.run(cfg, "eval", "--mode", "closed") == 0
+    return {
+        "train.jsonl": (root / "dataset" / "train.jsonl").read_bytes(),
+        "test.jsonl": (root / "dataset" / "test.jsonl").read_bytes(),
+        "index.jsonl": (root / "artifacts" / "index.jsonl").read_bytes(),
+        "open.json": (root / "reports" / "open_report.json").read_bytes(),
+        "open.txt": (root / "reports" / "open_report.txt").read_bytes(),
+        "closed.json": (root / "reports" / "closed_report.json").read_bytes(),
+        **{name: (root / "checkpoints" / name).read_bytes()
+           for name in ("model_config.json", "weights.bin", "loss.csv")},
+    }
+
+
 def test_criterion_08_pipeline_determinism(tmp_path):
     start = time.monotonic()
-    outputs = []
-    for sub in ("one", "two"):
-        cfg = test_cli.make_workspace(tmp_path / sub)
-        assert test_cli.run(cfg, "curate") == 0
-        assert test_cli.run(cfg, "train") == 0
-        assert test_cli.run(cfg, "eval", "--mode", "open") == 0
-        assert test_cli.run(cfg, "eval", "--mode", "closed") == 0
-        root = tmp_path / sub
-        outputs.append({
-            "train.jsonl": (root / "dataset" / "train.jsonl").read_bytes(),
-            "test.jsonl": (root / "dataset" / "test.jsonl").read_bytes(),
-            "index.jsonl": (root / "artifacts" / "index.jsonl").read_bytes(),
-            "open.json": (root / "reports" / "open_report.json").read_bytes(),
-            "open.txt": (root / "reports" / "open_report.txt").read_bytes(),
-            "closed.json": (root / "reports"
-                            / "closed_report.json").read_bytes(),
-            **{name: (root / "checkpoints" / name).read_bytes()
-               for name in ("model_config.json", "weights.bin", "loss.csv")},
-        })
+    outputs = [pipeline_artifacts(tmp_path / sub) for sub in ("one", "two")]
     same = [n for n in outputs[0] if outputs[0][n] == outputs[1][n]]
     ok = len(same) == len(outputs[0])
     report(8, "pipeline determinism", ok,
            f"{len(same)}/{len(outputs[0])} artifacts byte-identical across "
            f"two stub-client runs",
            time.monotonic() - start, budget=60.0)
+
+
+# Runs check 8's pipeline in a fresh interpreter and prints the artifacts'
+# sha256 digests as the last line of its output.
+_HASH_PIPELINE = """
+import hashlib, json, sys
+from pathlib import Path
+from test_acceptance import pipeline_artifacts
+artifacts = pipeline_artifacts(Path(sys.argv[1]))
+print(json.dumps({name: hashlib.sha256(blob).hexdigest()
+                  for name, blob in artifacts.items()}))
+"""
+
+
+def test_pipeline_artifacts_independent_of_blas_threads(tmp_path):
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_PIPELINE, str(tmp_path / threads)],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests[threads] = json.loads(done.stdout.splitlines()[-1])
+    assert len(digests["1"]) == 9
+    assert digests["2"] == digests["1"]
 
 
 def test_criterion_09_directional_forgetting_soft():

@@ -121,6 +121,15 @@ class TestSelectTopK:
         assert denom.tolist() == [[0.25]]
         assert mix.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
+    def test_lone_expert_takes_every_row(self):
+        logits = np.array([[0.0], [-700.0], [700.0], [3.25], [-1e-300]])
+        full, order, denom, mix = route_rows(logits, k=1)
+        for got in (full, denom, mix):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.ones((5, 1)))
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.zeros((5, 1), dtype=np.intp))
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             route_rows(np.zeros((1, 2)), k=0)

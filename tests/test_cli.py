@@ -304,8 +304,16 @@ def _old_layout(path: Path) -> None:
     (path.parent / "adapters.json").write_text("[]\n")
 
 
-# Edits of a trained workspace's weights.bin, each of which must make
-# loading the checkpoint exit 2: (id, edit of the file at its path).
+def _single_kind(path: Path) -> None:
+    config = path.parent / "model_config.json"
+    payload = json.loads(config.read_text())
+    payload["adapter_kind"] = "single"
+    config.write_text(json.dumps(payload))
+
+
+# Edits of a trained workspace's weights.bin (or of the model_config.json
+# beside it), each of which must make loading the checkpoint exit 2:
+# (id, edit given the weights.bin path).
 CORRUPTIONS = [
     *[(f"cut-at-{n}", _cut(lambda size, n=n: n))
       for n in (10, 16, 19, 23, 30)],
@@ -325,6 +333,7 @@ CORRUPTIONS = [
     ("altered-base-value", _edit_arrays(
         lambda a: a.update({"wte": a["wte"] + 0.5}))),
     ("old-layout", _old_layout),
+    ("single-adapter-kind", _single_kind),
 ]
 
 

@@ -220,11 +220,21 @@ class TestHttpJudgeClient:
         return HttpJudgeClient("http://localhost:9/judge")
 
     @pytest.mark.parametrize("content,score", [
-        ("0.25, or maybe 0.9", 0.25), ("Score: 7 out of 10", 1.0),
-        ("-0.5", 0.0), ("1", 1.0)])
-    def test_first_number_clamped_into_unit_interval(self, monkeypatch,
-                                                     content, score):
+        ("1", 1.0), ("0.25", 0.25), ("Score: 0.7", 0.7)])
+    def test_lone_unit_number_is_the_score(self, monkeypatch, content, score):
         assert self.judge(monkeypatch, content).score("prompt") == score
+
+    @pytest.mark.parametrize("content", [
+        pytest.param("0.25, or maybe 0.9", id="two-numbers"),
+        pytest.param("Score: 7 out of 10", id="out-of-ten"),
+        pytest.param("-0.5", id="negative"),
+        pytest.param("1. The response is unfaithful: 0.2",
+                     id="numbered-list"),
+    ])
+    def test_other_replies_are_format_errors(self, monkeypatch, content):
+        with pytest.raises(FormatError) as exc:
+            self.judge(monkeypatch, content).score("prompt")
+        assert exc.value.payload == content
 
     def test_reply_without_number_is_a_format_error(self, monkeypatch):
         with pytest.raises(FormatError, match="no number") as exc:

@@ -4,13 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loramix.errors import ShapeError
-from loramix.model import (AdapterSpec, KvCache, SingleLoraSpec, ToyCausalLm,
-                           ToyModelConfig, _causal_mask, decode_tokens,
-                           encode_text)
+from loramix.model import (AdapterSpec, KvCache, ToyCausalLm, ToyModelConfig,
+                           _causal_mask, decode_tokens, encode_text)
 from loramix.numerics import softmax_rows
 from loramix.training import TrainExample, gradient_check
 
-from conftest import TINY_ADAPTERS, TINY_CFG
+from conftest import ONE_EXPERT, TINY_ADAPTERS, TINY_CFG
 
 
 class TestTokenizer:
@@ -52,10 +51,9 @@ class TestConstruction:
     def test_base_sha_ignores_adapter_choice(self):
         bare = ToyCausalLm(TINY_CFG, adapters=None)
         moe = ToyCausalLm(TINY_CFG, adapters=TINY_ADAPTERS)
-        lora = ToyCausalLm(TINY_CFG, adapters=SingleLoraSpec(rank=2,
-                                                             alpha=4.0))
+        lone = ToyCausalLm(TINY_CFG, adapters=ONE_EXPERT)
         assert bare.base_weight_sha256() == moe.base_weight_sha256()
-        assert bare.base_weight_sha256() == lora.base_weight_sha256()
+        assert bare.base_weight_sha256() == lone.base_weight_sha256()
 
     def test_base_arrays_write_protected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -69,7 +67,7 @@ class TestConstruction:
 
 class TestApplyUpdates:
     @pytest.mark.parametrize("spec", [
-        TINY_ADAPTERS, SingleLoraSpec(rank=2, alpha=4.0), None,
+        TINY_ADAPTERS, ONE_EXPERT, None,
     ], ids=["mixture", "single", "none"])
     def test_writes_trainable_params_in_place(self, spec):
         model = ToyCausalLm(TINY_CFG, adapters=spec)
@@ -183,7 +181,7 @@ DECODE_CFG = ToyModelConfig(vocab_size=32, d_model=8, n_layers=2, n_heads=2,
 def decode_model(request) -> ToyCausalLm:
     """Two-layer model whose adapters (if any) carry non-zero weights."""
     spec = {"frozen": None,
-            "single": SingleLoraSpec(rank=2, alpha=4.0),
+            "single": ONE_EXPERT,
             "mixture": AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
             }[request.param]
     model = ToyCausalLm(DECODE_CFG, adapters=spec)
@@ -280,7 +278,7 @@ class TestCachedDecode:
 class TestTrainingStepWork:
     @pytest.mark.parametrize("spec", [
         AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
-        SingleLoraSpec(rank=2, alpha=4.0),
+        ONE_EXPERT,
         None,
     ], ids=["mixture", "single", "none"])
     def test_cache_keeps_only_what_backward_reads(self, spec):

@@ -5,15 +5,14 @@ import pytest
 
 from loramix import training
 from loramix.errors import ConfigError, FormatError, ShapeError, StateError
-from loramix.model import (AdapterSpec, SingleLoraSpec, ToyCausalLm,
-                           ToyModelConfig, encode_text)
+from loramix.model import AdapterSpec, ToyCausalLm, ToyModelConfig, encode_text
 from loramix.training import (TrainConfig, TrainExample, batch_loss,
                               encode_example, format_qa, gradient_check,
                               load_checkpoint, loss_and_grads,
                               save_checkpoint, train, write_loss_csv,
                               _read_arrays, _write_arrays)
 
-from conftest import TINY_ADAPTERS, TINY_CFG
+from conftest import ONE_EXPERT, TINY_ADAPTERS, TINY_CFG
 
 
 COLOR_PAIRS = [("the sky", "blue"), ("grass", "green"), ("the sun", "yellow"),
@@ -185,6 +184,16 @@ class TestGradientCheck:
         err = gradient_check(model, TrainExample("Q: hm?\nA: ", "ok"))
         assert err <= 1e-5
 
+    def test_one_expert_router_gets_exact_zero_gradient(self):
+        model = small_lm(d_model=8, d_ff=16, layers=2, adapters=ONE_EXPERT)
+        ex = TrainExample("Q: hm?\nA: ", "ok")
+        assert gradient_check(model, ex) <= 1e-5
+        _, grads = loss_and_grads(model, [encode_example(ex, 64)])
+        routers = [name for name in grads if name.endswith("router.weights")]
+        assert len(routers) == 2
+        for name in routers:
+            assert not np.any(grads[name]), name
+
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValueError):
             gradient_check(small_lm(), TrainExample("a", "b"), epsilon=0.0)
@@ -211,7 +220,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("spec", [
         AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0),
-        SingleLoraSpec(rank=3, alpha=6.0),
+        AdapterSpec(n_experts=1, top_k=1, rank=3, alpha=6.0),
         None,
     ], ids=["mixture", "single", "none"])
     def test_round_trip_is_bitwise_per_adapter_kind(self, tmp_path, spec):
@@ -240,7 +249,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("spec", [
         AdapterSpec(n_experts=2, top_k=1, rank=2, alpha=4.0),
-        SingleLoraSpec(rank=2, alpha=4.0),
+        ONE_EXPERT,
         None,
     ], ids=["mixture", "single", "none"])
     def test_ffn_base_shapes_checked_against_config(self, tmp_path, spec):
@@ -266,6 +275,16 @@ class TestCheckpoints:
         payload["adapter"] = {"x": 1}
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="adapter"):
+            load_checkpoint(tmp_path)
+
+    def test_single_adapter_kind_is_unknown(self, tmp_path):
+        save_checkpoint(tmp_path, small_lm())
+        path = tmp_path / "model_config.json"
+        payload = json.loads(path.read_text())
+        payload["adapter_kind"] = "single"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError,
+                           match="unknown adapter kind 'single'"):
             load_checkpoint(tmp_path)
 
     def test_config_without_base_digest_refused(self, tmp_path):
