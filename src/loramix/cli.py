@@ -22,8 +22,8 @@ Config schema (all sections optional, defaults shown in DEFAULT_CONFIG):
       },
       "retrieval": {"theta": 0.87, "target_size": 1000, "overlap": 100},
       "model": {"d_model": 64, ...},
-      "train": {"lr": 0.0001, "batch_size": 16, "epochs": 2, ...},
-      "gradcheck": {"d_model": 16, ...},     kept small on purpose
+      "adapter": {"n_experts": 8, "top_k": 2, "rank": 8, "alpha": 16.0},
+      "train": {"lr": 0.0001, "batch_size": 16, "epochs": 2},
       "eval": {"max_new_tokens": 48, "qr_samples": 1,
                "use_stored_retrieval": false},
       "clients": {
@@ -83,11 +83,8 @@ DEFAULT_CONFIG: dict = {
     "retrieval": {"theta": 0.87, "target_size": 1000, "overlap": 100},
     "model": {"vocab_size": 256, "d_model": 64, "n_layers": 2, "n_heads": 2,
               "d_ff": 128, "max_seq_len": 256},
-    "train": {"lr": 1e-4, "batch_size": 16, "epochs": 2, "n_experts": 8,
-              "top_k": 2, "rank": 8, "alpha": 16.0},
-    "gradcheck": {"vocab_size": 128, "d_model": 16, "n_layers": 1,
-                  "n_heads": 2, "d_ff": 32, "max_seq_len": 64,
-                  "n_experts": 4, "top_k": 2, "rank": 2, "alpha": 4.0},
+    "adapter": {"n_experts": 8, "top_k": 2, "rank": 8, "alpha": 16.0},
+    "train": {"lr": 1e-4, "batch_size": 16, "epochs": 2},
     "eval": {"max_new_tokens": 48, "qr_samples": 1,
              "use_stored_retrieval": False},
     "clients": {
@@ -259,7 +256,7 @@ def cmd_train(cfg: dict, stub: bool) -> int:
     examples = [format_qa(r.q, r.ground_truth) for r in records]
     train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
     model = ToyCausalLm(ToyModelConfig(**cfg["model"], seed=cfg["seed"]),
-                        adapters=train_cfg.adapter_spec())
+                        adapters=AdapterSpec(**cfg["adapter"]))
     result = train(model, examples, train_cfg)
     ckpt_dir = Path(cfg["paths"]["checkpoints"])
     save_checkpoint(ckpt_dir, model)
@@ -318,20 +315,19 @@ def cmd_report(cfg: dict, mode: str) -> int:
 
 
 GRADCHECK_BOUND = 1e-5
+# The audited model, kept small on purpose: the audit perturbs every
+# trainable scalar.
+GRADCHECK_MODEL = {"vocab_size": 128, "d_model": 16, "n_layers": 1,
+                   "n_heads": 2, "d_ff": 32, "max_seq_len": 64}
+GRADCHECK_ADAPTER = AdapterSpec(n_experts=4, top_k=2, rank=2, alpha=4.0)
 
 
-def cmd_gradcheck(cfg: dict, epsilon: float) -> int:
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    g = cfg["gradcheck"]
-    model_keys = DEFAULT_CONFIG["model"].keys()
-    model = ToyCausalLm(
-        ToyModelConfig(**{k: g[k] for k in model_keys}, seed=cfg["seed"]),
-        adapters=AdapterSpec(**{k: v for k, v in g.items()
-                                if k not in model_keys}))
+def cmd_gradcheck(cfg: dict) -> int:
+    model = ToyCausalLm(ToyModelConfig(**GRADCHECK_MODEL, seed=cfg["seed"]),
+                        adapters=GRADCHECK_ADAPTER)
     example = TrainExample(prompt="Q: what color is the sky?\nA: ",
                            answer="blue")
-    max_err = gradient_check(model, example, epsilon=epsilon)
+    max_err = gradient_check(model, example)
     print(f"max relative error: {max_err:.3e}")
     return 0 if max_err <= GRADCHECK_BOUND else 1
 
@@ -356,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="print a saved report")
     p_report.add_argument("--mode", required=True,
                           choices=["open", "closed", "cross"])
-    p_grad = sub.add_parser("gradcheck",
-                            help="finite-difference audit of the backward pass")
-    p_grad.add_argument("--epsilon", type=float, default=1e-5)
+    sub.add_parser("gradcheck",
+                   help="finite-difference audit of the backward pass")
     return parser
 
 
@@ -381,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(cfg, args.mode)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.epsilon)
+            return cmd_gradcheck(cfg)
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, EvaluationError, StateError, FileNotFoundError,
             NotADirectoryError, PermissionError) as exc:

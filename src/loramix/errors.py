@@ -16,7 +16,8 @@ class DegenerateVectorError(ValueError):
 
 
 class StateError(RuntimeError):
-    """An operation was called out of order, e.g. gradients before forward."""
+    """A run reached a state it cannot go on from: a non-finite training
+    loss, or gating margins too narrow for a finite-difference audit."""
 
 
 class FormatError(ValueError):

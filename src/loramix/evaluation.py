@@ -430,7 +430,8 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
     both response paths and reports QR and FL averaged over them.
     Each record is retrieved for, answered and scored in one pass, and
     its response fields are populated in place. Judge or generator
-    failures mark the report partial instead of aborting.
+    failures mark the report partial instead of aborting; a stored
+    retrieval naming a chunk the index lacks raises ValueError.
     """
     if mode not in _SCORERS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -459,6 +460,10 @@ def evaluate(records: list, model: GenerativeModel, mode: str,
             if not cfg.use_stored_retrieval:
                 record.retrieved = [h.chunk_id for h in cfg.index.retrieve(
                     record.q, cfg.retrieval, cfg.embedder)]
+            elif missing := [cid for cid in record.retrieved
+                             if cid not in cfg.index.chunks]:
+                raise ValueError(f"record {i}: stored retrieval names chunk(s) "
+                                 f"{missing} that the index lacks")
             scenario = classify_scenario(record.retrieved, record.context_id)
             report.scenario_counts[scenario.value] += 1
             context = "\n\n".join(cfg.index.text_of(cid)

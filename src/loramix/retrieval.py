@@ -20,7 +20,8 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .errors import ClientError, ConfigError, FormatError, ShapeError
+from .errors import (ClientError, ConfigError, FormatError, ShapeError,
+                     from_fields)
 
 Array = np.ndarray
 
@@ -228,7 +229,7 @@ class VectorIndex:
             raise ShapeError(
                 f"embedding has shape {vec.shape}, index dim is {self.dim}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN fails too
             raise ValueError(f"embedding for {chunk_id!r} is not unit-norm "
                              f"(|v|={norm})")
         self.ids.append(chunk_id)
@@ -280,6 +281,17 @@ def retrieve(query: str, index: VectorIndex, cfg: RetrievalConfig,
 # -- corpus convenience layer --------------------------------------------------
 
 
+@dataclass
+class _IndexRow:
+    """One line of a saved CorpusIndex. The embedding's elements are left
+    to numpy, since checking each one would dominate the load."""
+    id: str
+    source_doc: str
+    text: str
+    lead: int
+    embedding: list
+
+
 class CorpusIndex:
     """VectorIndex plus the chunk texts, persistable as JSONL."""
 
@@ -324,16 +336,16 @@ class CorpusIndex:
         store: CorpusIndex | None = None
         for ln in lines:
             try:
-                row = json.loads(ln)
-                cid, text = row["id"], row["text"]
-                source, lead = row["source_doc"], row["lead"]
-                vec = np.asarray(row["embedding"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                row = from_fields(_IndexRow, json.loads(ln), "index row",
+                                  payload=ln)
+                vec = np.asarray(row.embedding, dtype=np.float64)
+            except (json.JSONDecodeError, TypeError) as exc:
                 raise FormatError(f"bad index row: {exc}", payload=ln) from exc
             if store is None:
                 store = cls(dim=vec.shape[0])
-            store.add_chunk(Chunk(chunk_id=cid, text=text, source_doc=source,
-                                  lead=lead), vec)
+            store.add_chunk(Chunk(chunk_id=row.id, text=row.text,
+                                  source_doc=row.source_doc, lead=row.lead),
+                            vec)
         assert store is not None
         return store
 

@@ -47,10 +47,6 @@ class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 16
     epochs: int = 2
-    n_experts: int = 8
-    top_k: int = 2
-    rank: int = 8
-    alpha: float = 16.0
     seed: int = 0
 
     def __post_init__(self):
@@ -60,11 +56,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        self.adapter_spec()
-
-    def adapter_spec(self) -> AdapterSpec:
-        return AdapterSpec(n_experts=self.n_experts, top_k=self.top_k,
-                           rank=self.rank, alpha=self.alpha)
 
 
 @dataclass
@@ -187,15 +178,16 @@ def train(model: ToyCausalLm, examples: list[TrainExample], cfg: TrainConfig
 MAX_CHECKABLE_PARAMS = 5000
 # Half-width of the seeded uniform jitter added to every trainable scalar.
 AUDIT_JITTER = 0.1
+# Central-difference step applied to each trainable scalar.
+AUDIT_EPSILON = 1e-5
 # Floor of the relative error's denominator.
 AUDIT_DENOM_FLOOR = 1e-4
 
 
-def gradient_check(model: ToyCausalLm, example: TrainExample,
-                   epsilon: float = 1e-5) -> float:
+def gradient_check(model: ToyCausalLm, example: TrainExample) -> float:
     """Max relative error of analytic vs central-difference loss gradients.
 
-    Every trainable scalar is perturbed by +-epsilon. The model's
+    Every trainable scalar is perturbed by +-AUDIT_EPSILON. The model's
     trainable tensors are first jittered (seeded) away from the zero-up
     initialization so all gradient paths are live, and the gating margins
     are verified wide enough that the finite differences cannot flip an
@@ -206,8 +198,6 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
     AUDIT_DENOM_FLOOR), so for gradients below the floor this is a scaled
     absolute error.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     params = model.trainable_params()
     n_scalar = sum(arr.size for arr in params.values())
     if n_scalar > MAX_CHECKABLE_PARAMS:
@@ -221,7 +211,7 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
         for name, arr in params.items()
     })
     batch = [encode_example(example, model.cfg.max_seq_len)]
-    _assert_gating_margins(model, batch[0][0], epsilon)
+    _assert_gating_margins(model, batch[0][0])
 
     _, analytic = loss_and_grads(model, batch)
 
@@ -234,12 +224,12 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
         flat = arr.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + epsilon
+            flat[j] = orig + AUDIT_EPSILON
             up = loss_at()
-            flat[j] = orig - epsilon
+            flat[j] = orig - AUDIT_EPSILON
             down = loss_at()
             flat[j] = orig
-            numeric = (up - down) / (2 * epsilon)
+            numeric = (up - down) / (2 * AUDIT_EPSILON)
             a = float(a_grad.reshape(-1)[j])
             rel = abs(a - numeric) / max(abs(a), abs(numeric),
                                          AUDIT_DENOM_FLOOR)
@@ -247,10 +237,9 @@ def gradient_check(model: ToyCausalLm, example: TrainExample,
     return worst
 
 
-def _assert_gating_margins(model: ToyCausalLm, ids: list[int],
-                           epsilon: float) -> None:
+def _assert_gating_margins(model: ToyCausalLm, ids: list[int]) -> None:
     """Refuse the audit when a top-k boundary sits too close to flip."""
-    logits_margin = 50.0 * epsilon
+    logits_margin = 50.0 * AUDIT_EPSILON
     _, cache = model.forward(ids, with_cache=True)
     for block, layer_cache in zip(model.blocks, cache["blocks"]):
         ff_cache = layer_cache["ff_cache"]
@@ -270,21 +259,19 @@ def _assert_gating_margins(model: ToyCausalLm, ids: list[int],
 # -- checkpoints ---------------------------------------------------------------
 
 
-# The adapter_kind model_config.json names, and the adapter spec type each
-# stands for; an undecorated model has no spec.
-ADAPTER_KINDS = {"mixture": AdapterSpec, "none": type(None)}
+# The top-level keys of model_config.json.
+CHECKPOINT_KEYS = {"model", "adapter", "base_sha256"}
 
 
 def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
-    """Write model_config.json (model config, adapter kind and spec, and
-    the base weights' sha256) and weights.bin (every `base_arrays()` and
+    """Write model_config.json (model config, adapter spec or null, and the
+    base weights' sha256) and weights.bin (every `base_arrays()` and
     `trainable_params()` array)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = model.adapters
-    kind = next(k for k, cls in ADAPTER_KINDS.items() if type(spec) is cls)
-    cfg_payload = {"model": asdict(model.cfg), "adapter_kind": kind,
-                   "adapter": {} if spec is None else asdict(spec),
+    cfg_payload = {"model": asdict(model.cfg),
+                   "adapter": None if spec is None else asdict(spec),
                    "base_sha256": model.base_weight_sha256()}
     (directory / "model_config.json").write_text(
         json.dumps(cfg_payload, sort_keys=True, indent=2) + "\n")
@@ -303,20 +290,15 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
         raise FormatError(f"unreadable model config: {exc}") from exc
     if not isinstance(cfg_payload, dict):
         raise FormatError("checkpoint model config must be a JSON object")
-    kind = cfg_payload.get("adapter_kind")
-    if not isinstance(kind, str) or kind not in ADAPTER_KINDS:
-        raise FormatError(f"unknown adapter kind {kind!r}")
-    cfg = from_fields(ToyModelConfig, cfg_payload.get("model"),
-                      "checkpoint model")
-    spec_cls = ADAPTER_KINDS[kind]
-    adapter = cfg_payload.get("adapter")
-    if spec_cls is not type(None):
-        spec = from_fields(spec_cls, adapter, "checkpoint adapter")
-    elif adapter == {}:
-        spec = None
-    else:
-        raise FormatError("checkpoint adapter must be {} for adapter kind "
-                          f"'none', got {adapter!r}")
+    missing = CHECKPOINT_KEYS - cfg_payload.keys()
+    unknown = cfg_payload.keys() - CHECKPOINT_KEYS
+    if missing or unknown:
+        raise FormatError(f"checkpoint model config keys: missing "
+                          f"{sorted(missing)}, unknown {sorted(unknown)}")
+    cfg = from_fields(ToyModelConfig, cfg_payload["model"], "checkpoint model")
+    adapter = cfg_payload["adapter"]
+    spec = (None if adapter is None
+            else from_fields(AdapterSpec, adapter, "checkpoint adapter"))
     arrays = _read_arrays(directory / "weights.bin")
     try:
         model = ToyCausalLm(cfg, adapters=spec, base_weights=arrays)
@@ -328,7 +310,7 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     if missing or unknown:
         raise FormatError(f"checkpoint weights: missing {sorted(missing)}, "
                           f"unknown {sorted(unknown)}")
-    recorded = cfg_payload.get("base_sha256")
+    recorded = cfg_payload["base_sha256"]
     if recorded != model.base_weight_sha256():
         raise FormatError("checkpoint base weights do not match base_sha256 "
                           f"{recorded!r}")

@@ -125,7 +125,7 @@ def test_criterion_02_gradient_audit():
                        d_ff=8, max_seq_len=16, seed=0),
         AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0))
     ex = TrainExample(prompt=chr(17) + chr(18) + chr(19), answer=chr(20))
-    lm_worst = gradient_check(lm, ex, epsilon=1e-5)
+    lm_worst = gradient_check(lm, ex)
 
     ok = layer_worst <= 1e-6 and lm_worst <= 1e-5
     report(2, "gradient audit", ok,
@@ -405,6 +405,7 @@ def test_pipeline_artifacts_independent_of_blas_threads(tmp_path):
     assert digests["2"] == digests["1"]
 
 
+@pytest.mark.slow
 def test_criterion_09_directional_forgetting_soft():
     start = time.monotonic()
     result = run_forgetting_experiment()
@@ -431,6 +432,7 @@ def test_criterion_09_directional_forgetting_soft():
            elapsed, budget=600.0, soft=True)
 
 
+@pytest.mark.slow
 def test_criterion_10_open_book_beats_closed_book():
     start = time.monotonic()
     result = run_openbook_experiment(seed=0)

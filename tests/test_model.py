@@ -323,4 +323,4 @@ class TestTrainingStepWork:
                            d_ff=8, max_seq_len=16, seed=0),
             AdapterSpec(n_experts=3, top_k=2, rank=2, alpha=4.0))
         ex = TrainExample(prompt=chr(17) + chr(18) + chr(19), answer=chr(20))
-        assert gradient_check(lm, ex, epsilon=1e-5) <= 1e-5
+        assert gradient_check(lm, ex) <= 1e-5

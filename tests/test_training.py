@@ -56,8 +56,7 @@ class TestTrainLoop:
         model = small_lm()
         before = {k: v.copy() for k, v in model.trainable_params().items()}
         res = train(model, COLOR_EXAMPLES,
-                    TrainConfig(epochs=0, n_experts=2, top_k=1, rank=2,
-                                alpha=4.0))
+                    TrainConfig(epochs=0))
         assert res.steps == 0
         assert res.loss_trace == []
         for name, arr in model.trainable_params().items():
@@ -70,8 +69,7 @@ class TestTrainLoop:
     def test_same_seed_same_trajectory(self):
         def run():
             model = small_lm()
-            cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=2, seed=5,
-                              n_experts=2, top_k=1, rank=2, alpha=4.0)
+            cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=2, seed=5)
             res = train(model, COLOR_EXAMPLES, cfg)
             return res.loss_trace, model.trainable_params()
 
@@ -85,14 +83,12 @@ class TestTrainLoop:
         model = small_lm()
         sha = model.base_weight_sha256()
         train(model, COLOR_EXAMPLES,
-              TrainConfig(lr=1e-2, batch_size=4, epochs=3, n_experts=2,
-                          top_k=1, rank=2, alpha=4.0))
+              TrainConfig(lr=1e-2, batch_size=4, epochs=3))
         assert model.base_weight_sha256() == sha
 
     def test_blown_up_lr_stops_on_non_finite_loss(self):
         model = small_lm()
-        cfg = TrainConfig(lr=1e300, batch_size=4, epochs=5, n_experts=2,
-                          top_k=1, rank=2, alpha=4.0)
+        cfg = TrainConfig(lr=1e300, batch_size=4, epochs=5)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(StateError, match="epoch 1, step 2"):
             train(model, COLOR_EXAMPLES, cfg)
@@ -111,8 +107,7 @@ class TestTrainLoop:
         with pytest.raises(StateError, match="non-finite loss nan at epoch 0, "
                                              "step 1"):
             train(model, COLOR_EXAMPLES,
-                  TrainConfig(lr=1e-2, batch_size=4, epochs=2, n_experts=2,
-                              top_k=1, rank=2, alpha=4.0))
+                  TrainConfig(lr=1e-2, batch_size=4, epochs=2))
         for name, arr in model.trainable_params().items():
             assert np.array_equal(arr, seen[1][name]), name
 
@@ -127,8 +122,7 @@ class TestTrainLoop:
         enc = [encode_example(e, cfg.max_seq_len) for e in COLOR_EXAMPLES]
         initial = batch_loss(model, enc)
         res = train(model, COLOR_EXAMPLES,
-                    TrainConfig(lr=1e-3, batch_size=8, epochs=200, seed=7,
-                                n_experts=4, top_k=2, rank=8, alpha=16.0))
+                    TrainConfig(lr=1e-3, batch_size=8, epochs=200, seed=7))
         final = batch_loss(model, enc)
         assert res.steps == 200
         assert final < 0.2 * initial
@@ -141,8 +135,7 @@ class TestTrainLoop:
             model = small_lm(seed=seed)
             res = train(model, COLOR_EXAMPLES,
                         TrainConfig(lr=1e-3, batch_size=8, epochs=4,
-                                    seed=seed, n_experts=2, top_k=1, rank=2,
-                                    alpha=4.0))
+                                    seed=seed))
             tr = res.loss_trace
             if all(tr[i + 1] <= tr[i] + 1e-9 for i in range(len(tr) - 1)):
                 monotone += 1
@@ -171,7 +164,7 @@ class TestTrainConfigValidation:
 
     def test_bad_top_k(self):
         with pytest.raises(ConfigError):
-            TrainConfig(n_experts=2, top_k=3)
+            AdapterSpec(n_experts=2, top_k=3)
 
     def test_negative_epochs(self):
         with pytest.raises(ConfigError):
@@ -194,10 +187,6 @@ class TestGradientCheck:
         for name in routers:
             assert not np.any(grads[name]), name
 
-    def test_zero_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_check(small_lm(), TrainExample("a", "b"), epsilon=0.0)
-
     def test_oversized_model_refused(self):
         big = ToyCausalLm(
             ToyModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=2,
@@ -211,8 +200,7 @@ class TestCheckpoints:
     def test_round_trip_preserves_behavior(self, tmp_path):
         model = small_lm()
         train(model, COLOR_EXAMPLES[:4],
-              TrainConfig(lr=1e-3, batch_size=4, epochs=2, n_experts=2,
-                          top_k=1, rank=2, alpha=4.0))
+              TrainConfig(lr=1e-3, batch_size=4, epochs=2))
         save_checkpoint(tmp_path / "ckpt", model)
         loaded = load_checkpoint(tmp_path / "ckpt")
         tokens = [81, 58, 32, 104, 105]
@@ -271,7 +259,8 @@ class TestCheckpoints:
         save_checkpoint(tmp_path, ToyCausalLm(cfg, None))
         path = tmp_path / "model_config.json"
         payload = json.loads(path.read_text())
-        assert (payload["adapter_kind"], payload["adapter"]) == ("none", {})
+        assert payload.keys() == {"model", "adapter", "base_sha256"}
+        assert payload["adapter"] is None
         payload["adapter"] = {"x": 1}
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="adapter"):
@@ -283,8 +272,7 @@ class TestCheckpoints:
         payload = json.loads(path.read_text())
         payload["adapter_kind"] = "single"
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError,
-                           match="unknown adapter kind 'single'"):
+        with pytest.raises(FormatError, match=r"unknown \['adapter_kind'\]"):
             load_checkpoint(tmp_path)
 
     def test_config_without_base_digest_refused(self, tmp_path):
