@@ -8,17 +8,23 @@ renormalized to sum to one. Unselected experts contribute nothing to the
 output and receive no gradient. With all up-factors zero the layer is
 exactly the frozen FFN, so a freshly decorated model reproduces its base.
 
-The experts' factors are stored stacked, so the mixture is computed as
-one rank-(E*r) adapter whose rank space is gated by the routing weights,
-each expert's weight repeated over its r rank columns.
+The mixture is one rank-(E*r) adapter whose rank space is gated by the
+routing weights, each expert's weight repeated over its r rank columns.
+It stores and trains the two flat factors that product uses, expert i
+owning their rows i*r to (i+1)*r, plus the router matrix.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeError
 from .numerics import as_matrix, softmax_rows
+
+if TYPE_CHECKING:
+    from .model import AdapterSpec
 
 Array = np.ndarray
 
@@ -58,17 +64,17 @@ def route_rows(logits: Array, k: int) -> tuple[Array, Array, Array, Array]:
 class MixtureFfn:
     """Frozen two-layer FFN decorated with a routed mixture of experts.
 
-    The E experts' factors live in two stacks, `down` (E, r, d_in) and
-    `up` (E, d_ff, r); the router is one (d_in, E) matrix. Flattening the
-    stacks to rank E*r, with `gate` the routing mix repeated r times per
-    expert:
+    The E rank-r experts live in two flat factors, `down` (E*r, d_in)
+    and `up` (E*r, d_ff), expert i owning rows i*r to (i+1)*r of each;
+    the router is one (d_in, E) matrix. With `gate` the routing mix
+    repeated r times per expert:
 
-        p = x down_cat^T
-        h = W1 x + (alpha / r) * (gate * p) up_cat
+        p = x down^T
+        h = W1 x + (alpha / r) * (gate * p) up
         y = W2 silu(h)
 
-    The base projections are write-protected at construction; only the
-    factor stacks and the router train.
+    The base projections are write-protected at construction; only
+    `down`, `up` and the router train.
     """
 
     def __init__(self, w1: Array, w2: Array, down: Array, up: Array,
@@ -80,22 +86,19 @@ class MixtureFfn:
             raise ShapeError(
                 f"second projection must be ({d_in}, {d_ff}), got {w2.shape}"
             )
-        down = np.array(down, dtype=np.float64, order="C")
-        up = np.array(up, dtype=np.float64, order="C")
+        down = np.array(as_matrix(down, "down factor"), order="C")
+        up = np.array(as_matrix(up, "up factor"), order="C")
         router = np.array(as_matrix(router, "router weights"), order="C")
-        if down.ndim != 3 or down.shape[0] < 1 or down.shape[1] < 1:
-            raise ShapeError(f"down factors must be a non-empty (experts, "
-                             f"rank, d_in) stack, got {down.shape}")
-        n, rank = down.shape[:2]
-        if down.shape != (n, rank, d_in) or up.shape != (n, d_ff, rank):
+        n = router.shape[1]
+        rank = down.shape[0] // n if n else 0
+        if (rank < 1 or router.shape != (d_in, n)
+                or down.shape != (n * rank, d_in)
+                or up.shape != (n * rank, d_ff)):
             raise ShapeError(
-                f"factor stacks {down.shape} / {up.shape} do not match "
-                f"{n} rank-{rank} experts on the decorated projection "
-                f"({d_in} -> {d_ff})"
+                f"factors {down.shape} / {up.shape} and router "
+                f"{router.shape} do not make rank-r experts on the "
+                f"decorated projection ({d_in} -> {d_ff})"
             )
-        if router.shape != (d_in, n):
-            raise ShapeError(
-                f"router must be ({d_in}, {n}), got {router.shape}")
         if not 1 <= top_k <= n:
             raise ValueError(f"top_k must satisfy 1 <= k <= {n}, got {top_k}")
         w1.setflags(write=False)
@@ -106,26 +109,12 @@ class MixtureFfn:
         self.up = up
         self.router = router
         self.top_k = top_k
+        self.rank = rank
         self.scale = alpha / rank
-        self._views = _named(down, up, router)
 
     @property
     def d_in(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def d_ff(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.down.shape[0]
-
-    def _flat_factors(self) -> tuple[Array, Array]:
-        """`down_cat` (E*r, d_in) and `up_cat` (E*r, d_ff)."""
-        n, rank, d_in = self.down.shape
-        return (self.down.reshape(n * rank, d_in),
-                self.up.transpose(0, 2, 1).reshape(n * rank, self.d_ff))
 
     # -- row-vectorized core -------------------------------------------------
 
@@ -137,10 +126,9 @@ class MixtureFfn:
                 f"layer expects rows of length {self.d_in}, got {x_rows.shape[1]}"
             )
         full, order, denom, mix = route_rows(x_rows @ self.router, self.top_k)
-        down_cat, up_cat = self._flat_factors()
-        gate = np.repeat(mix, self.down.shape[1], axis=1)   # (N, E*r)
-        p = x_rows @ down_cat.T                             # (N, E*r)
-        hidden = x_rows @ self.w1.T + self.scale * ((gate * p) @ up_cat)
+        gate = np.repeat(mix, self.rank, axis=1)            # (N, E*r)
+        p = x_rows @ self.down.T                            # (N, E*r)
+        hidden = x_rows @ self.w1.T + self.scale * ((gate * p) @ self.up)
         den = 1.0 + np.exp(-hidden)            # silu(h) = h / den
         out = (hidden / den) @ self.w2.T
         cache = {
@@ -154,25 +142,26 @@ class MixtureFfn:
         """Reverse pass through one cached forward.
 
         Returns the gradient with respect to the input rows plus a dict of
-        gradients for every trainable tensor. Unselected experts get exact
-        zeros, and so does the router of a lone expert, whose weight is
-        the constant 1; the frozen projections get no entry at all.
+        gradients for every trainable tensor. Unselected experts' rows get
+        exact zeros, and so does the router of a lone expert, whose weight
+        is the constant 1; the frozen projections get no entry at all.
         """
         x_rows, gate, p = cache["x"], cache["gate"], cache["p"]
         full, order, denom = cache["full"], cache["order"], cache["denom"]
         hidden, s = cache["hidden"], 1.0 / cache["den"]
-        down_cat, up_cat = self._flat_factors()
 
         d_hidden = (upstream_rows @ self.w2) * (s * (1.0 + hidden * (1.0 - s)))
-        q = d_hidden @ up_cat.T                        # (N, E*r)
+        q = d_hidden @ self.up.T                       # (N, E*r)
         d_p = self.scale * (gate * q)                  # zero when unselected
-        d_up = self.scale * d_hidden.T @ (gate * p)    # (d_ff, E*r)
-        n, rank = self.down.shape[:2]
-        d_x = d_hidden @ self.w1 + d_p @ down_cat
+        # Computed as (d_ff, E*r) and returned transposed; the product in
+        # the other orientation may round differently.
+        d_up = self.scale * d_hidden.T @ (gate * p)
+        n = self.router.shape[1]
+        d_x = d_hidden @ self.w1 + d_p @ self.down
         if n == 1:
             d_router = np.zeros_like(self.router)
         else:
-            d_mix = self.scale * (p * q).reshape(-1, n, rank).sum(axis=2)
+            d_mix = self.scale * (p * q).reshape(-1, n, self.rank).sum(axis=2)
             # Renormalization backward, restricted to the selected set; the
             # dropped experts' mixing weights are constants (zero), so only
             # the softmax coupling below routes gradient to their logits.
@@ -186,44 +175,31 @@ class MixtureFfn:
                                                keepdims=True))
             d_x += d_logits @ self.router.T
             d_router = x_rows.T @ d_logits
-        grads = _named((d_p.T @ x_rows).reshape(self.down.shape),
-                       d_up.reshape(-1, n, rank).transpose(1, 0, 2),
-                       d_router)
-        return d_x, grads
+        return d_x, {"down": d_p.T @ x_rows, "up": d_up.T, "router": d_router}
 
     # -- parameter access -----------------------------------------------------
 
     def trainable(self) -> dict[str, Array]:
-        """Each expert's factors, as writable views into the stacks, and
-        the router matrix; the same array objects on every call."""
-        return dict(self._views)
+        """The flat factors and the router matrix; the same array objects
+        on every call."""
+        return {"down": self.down, "up": self.up, "router": self.router}
 
 
-def _named(down: Array, up: Array, router: Array) -> dict[str, Array]:
-    """Per-expert names for stacked factor tensors (or their gradients)."""
-    out: dict[str, Array] = {}
-    for i in range(down.shape[0]):
-        out[f"expert{i}.down"] = down[i]
-        out[f"expert{i}.up"] = up[i]
-    out["router.weights"] = router
-    return out
-
-
-def build_mixture(d_in: int, d_ff: int, w1: Array, w2: Array, n_experts: int,
-                  top_k: int, rank: int, alpha: float, seed: int,
+def build_mixture(w1: Array, w2: Array, spec: AdapterSpec, seed: int,
                   layer_index: int) -> MixtureFfn:
     """Construct a decorated FFN with per-component derived initialization:
-    each expert's down factor uniform from its own stream, every up factor
-    zero, so the delta starts at zero."""
+    each expert's rows of `down` uniform from its own stream, `up` zero,
+    so the delta starts at zero."""
     from . import seeding
 
+    d_ff, d_in = np.shape(w1)
     bound = 1.0 / np.sqrt(d_in)
-    down = np.stack([
+    down = np.concatenate([
         seeding.rng_for(seed, seeding.EXPERT, layer_index, i).uniform(
-            -bound, bound, size=(rank, d_in))
-        for i in range(n_experts)
+            -bound, bound, size=(spec.rank, d_in))
+        for i in range(spec.n_experts)
     ])
     router = seeding.rng_for(seed, seeding.ROUTER, layer_index).normal(
-        0.0, 0.02, size=(d_in, n_experts))
-    return MixtureFfn(w1, w2, down, np.zeros((n_experts, d_ff, rank)), router,
-                      top_k, alpha)
+        0.0, 0.02, size=(d_in, spec.n_experts))
+    return MixtureFfn(w1, w2, down, np.zeros((down.shape[0], d_ff)), router,
+                      spec.top_k, spec.alpha)

@@ -46,8 +46,8 @@ error, with stub clients too.
 
 Credentials are never written to disk or passed on argv; clients read
 them from the environment variables named in the config at call time.
-Exit codes: 0 success, 2 usage or configuration error, 3 partial
-evaluation failure.
+Exit codes: 0 success, 2 usage, configuration or input error (an
+unreachable service included), 3 partial evaluation failure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from pathlib import Path
 
 from .curation import (HttpChatClient, StubGenerator, curate, load_records,
                        save_records)
-from .errors import ConfigError, EvaluationError, StateError, _conforms
+from .errors import (ClientError, ConfigError, EvaluationError, StateError,
+                     _conforms)
 from .evaluation import (EvalConfig, EvalReport, HttpJudgeClient, StubJudge,
                          evaluate)
 from .model import AdapterSpec, ToyCausalLm, ToyModelConfig
@@ -378,8 +379,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, EvaluationError, StateError, FileNotFoundError,
-            NotADirectoryError, PermissionError) as exc:
+    except (ValueError, ClientError, EvaluationError, StateError,
+            FileNotFoundError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -173,10 +173,7 @@ class ToyCausalLm:
             if adapters is None:
                 ffn = FrozenFfn(w1, w2)
             else:
-                ffn = build_mixture(cfg.d_model, cfg.d_ff, w1, w2,
-                                    adapters.n_experts, adapters.top_k,
-                                    adapters.rank, adapters.alpha,
-                                    cfg.seed, layer)
+                ffn = build_mixture(w1, w2, adapters, cfg.seed, layer)
             self.blocks.append(Block(
                 g_attn=_frozen(base[p + "attn.gain"], (cfg.d_model,)),
                 wq=_frozen(base[p + "attn.wq"], (cfg.d_model, cfg.d_model)),

@@ -341,6 +341,10 @@ class CorpusIndex:
                 vec = np.asarray(row.embedding, dtype=np.float64)
             except (json.JSONDecodeError, TypeError) as exc:
                 raise FormatError(f"bad index row: {exc}", payload=ln) from exc
+            if not 0 <= row.lead <= len(row.text):
+                raise FormatError(f"index row key 'lead' must lie in [0, "
+                                  f"{len(row.text)}], got {row.lead}",
+                                  payload=ln)
             if store is None:
                 store = cls(dim=vec.shape[0])
             store.add_chunk(Chunk(chunk_id=row.id, text=row.text,

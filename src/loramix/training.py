@@ -27,7 +27,7 @@ Array = np.ndarray
 QA_PROMPT_TEMPLATE = "Q: {q}\nA: "
 
 CHECKPOINT_MAGIC = b"LORAMIX-BASEW\x00\x00\x00"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,9 @@ def save_checkpoint(directory: str | Path, model: ToyCausalLm) -> None:
 
 def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     """Inverse of `save_checkpoint`; FormatError for a malformed config, a
-    malformed weight file, array names other than the model's, or base
-    weights whose sha256 is not the recorded one."""
+    malformed weight file, array names other than the model's, a NaN or
+    inf in a trainable array, or base weights whose sha256 is not the
+    recorded one."""
     directory = Path(directory)
     try:
         cfg_payload = json.loads((directory / "model_config.json").read_text())
@@ -310,6 +311,11 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     if missing or unknown:
         raise FormatError(f"checkpoint weights: missing {sorted(missing)}, "
                           f"unknown {sorted(unknown)}")
+    nonfinite = sorted(name for name in trainable
+                       if not np.isfinite(arrays[name]).all())
+    if nonfinite:
+        raise FormatError(f"checkpoint weights: non-finite values in "
+                          f"{nonfinite}")
     recorded = cfg_payload["base_sha256"]
     if recorded != model.base_weight_sha256():
         raise FormatError("checkpoint base weights do not match base_sha256 "

@@ -91,10 +91,10 @@ def test_criterion_02_gradient_audit():
     down, up = [], []
     for _ in range(3):
         down.append(rng.uniform(-0.5, 0.5, size=(2, 4)))  # bound 1/sqrt(4)
-        up.append(rng.standard_normal((8, 2)) * 0.5)
+        up.append(rng.standard_normal((8, 2)).T * 0.5)
     layer = MixtureFfn(rng.standard_normal((8, 4)),
                        rng.standard_normal((4, 8)),
-                       np.stack(down), np.stack(up),
+                       np.concatenate(down), np.concatenate(up),
                        rng.standard_normal((4, 3)), top_k=2, alpha=4.0)
     x_rows = rng.standard_normal((4, 4))
     upstream = rng.standard_normal((4, 4))
@@ -138,10 +138,10 @@ def test_criterion_03_gating_contract():
     rng = np.random.default_rng(3)
     router = rng.standard_normal((8, 6))
     bound = 1.0 / np.sqrt(8)
-    down = np.stack([rng.uniform(-bound, bound, size=(1, 8))
-                     for _ in range(6)])
+    down = np.concatenate([rng.uniform(-bound, bound, size=(1, 8))
+                           for _ in range(6)])
     layer = MixtureFfn(rng.standard_normal((4, 8)), rng.standard_normal((8, 4)),
-                       down, np.zeros((6, 4, 1)), router, top_k=1, alpha=2.0)
+                       down, np.zeros((6, 4)), router, top_k=1, alpha=2.0)
     x_rows = rng.standard_normal((10_000, 8))
     logits = x_rows @ router
 
@@ -219,10 +219,14 @@ def test_criterion_04_degenerate_mixture_equals_single_adapter():
     trace_single = train(single, COLOR_EXAMPLES, tcfg).loss_trace
     step_div = max(abs(a - b) for a, b in zip(trace_moe, trace_single))
 
+    # The oracle's (d_ff, r) up factor is the lone expert's `up`
+    # transposed; its down factor is `down` as it stands.
     weight_div = 0.0
     params_moe = moe.trainable_params()
     for name, arr in single.trainable_params().items():
-        twin = params_moe[name.replace("adapter.", "expert0.")]
+        twin = params_moe[name.replace("adapter.", "")]
+        if name.endswith(".up"):
+            twin = twin.T
         weight_div = max(weight_div, float(np.max(np.abs(arr - twin))))
 
     # The singleton router saw exactly-zero gradients, so its weights
@@ -231,7 +235,7 @@ def test_criterion_04_degenerate_mixture_equals_single_adapter():
                                          alpha=8.0)).trainable_params()
     router_moved = any(
         not np.array_equal(params_moe[n], fresh[n])
-        for n in params_moe if n.endswith("router.weights"))
+        for n in params_moe if n.endswith(".router"))
 
     ok = step_div <= 1e-12 and weight_div <= 1e-12 and not router_moved
     report(4, "degenerate mixture equals plain adapter", ok,

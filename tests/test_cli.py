@@ -1,5 +1,7 @@
 import json
 import shutil
+import urllib.error
+import urllib.request
 from dataclasses import fields
 from pathlib import Path
 
@@ -103,7 +105,22 @@ CLIENT_TYPOS = [
 ]
 
 
+@pytest.fixture
+def unreachable(monkeypatch):
+    """Every HTTP request fails as a refused connection; no socket opens."""
+    def refuse(*args, **kwargs):
+        raise urllib.error.URLError("connection refused")
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+
+
 class TestCurateCommand:
+    def test_unreachable_generator_exits_two(self, tmp_path, unreachable,
+                                             capsys):
+        cfg = set_key(make_workspace(tmp_path), "clients.generator",
+                      {"endpoint": ENDPOINT}, tmp_path / "cfg.json")
+        assert cli.main(["--config", str(cfg), "curate"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: POST {ENDPOINT}")
+
     def test_summary_matches_files(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         assert run(cfg, "curate") == 0
@@ -146,6 +163,14 @@ class TestCurateCommand:
 
 
 class TestIndexCommand:
+    def test_unreachable_embedder_exits_two(self, tmp_path, unreachable,
+                                            capsys):
+        cfg = set_key(make_workspace(tmp_path), "clients.embedder",
+                      {"kind": "http", "endpoint": ENDPOINT},
+                      tmp_path / "cfg.json")
+        assert cli.main(["--config", str(cfg), "index"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: POST {ENDPOINT}")
+
     def test_writes_index(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         assert run(cfg, "index") == 0
@@ -254,14 +279,17 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("key,value", [
         ("text", 5), ("lead", "3"), ("source_doc", None), ("id", 7),
-        ("extra", 1),
+        ("extra", 1), ("lead", -5),
+        pytest.param("lead", lambda row: len(row["text"]) + 1,
+                     id="lead-past-text"),
     ])
     def test_index_row_with_bad_key_exits_two(self, trained, capsys, key,
                                               value):
+        """value, or value(row) when callable, replaces the first row's key."""
         cfg, root = trained
         path = root / "artifacts" / "index.jsonl"
         rows = [json.loads(ln) for ln in path.read_text().splitlines()]
-        rows[0][key] = value
+        rows[0][key] = value(rows[0]) if callable(value) else value
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert run(cfg, "eval", "--mode", "open") == 2
         assert repr(key) in capsys.readouterr().err
@@ -336,6 +364,21 @@ def _edit_arrays(change):
     return edit
 
 
+def _set_entry(name, value):
+    """Edit writing value into the first entry of the named array."""
+    def change(arrays) -> None:
+        arr = arrays[name].copy()
+        arr.flat[0] = value
+        arrays[name] = arr
+    return _edit_arrays(change)
+
+
+def _version_2(path: Path) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[16] = 2
+    path.write_bytes(bytes(blob))
+
+
 def _old_layout(path: Path) -> None:
     path.unlink()
     (path.parent / "base_weights.bin").write_bytes(b"")
@@ -374,13 +417,15 @@ CORRUPTIONS = [
     ("one-byte-short", _cut(lambda size: size - 1)),
     ("trailing-byte", lambda p: p.write_bytes(p.read_bytes() + b"\0")),
     ("no-base-array", _edit_arrays(lambda a: a.pop("block0.attn.wq"))),
-    ("no-expert-tensor", _edit_arrays(lambda a: a.pop("block0.expert1.down"))),
-    ("no-router-tensor",
-     _edit_arrays(lambda a: a.pop("block0.router.weights"))),
+    ("no-expert-tensor", _edit_arrays(lambda a: a.pop("block0.down"))),
+    ("no-router-tensor", _edit_arrays(lambda a: a.pop("block0.router"))),
     ("extra-expert", _edit_arrays(
-        lambda a: a.update({"block0.expert9.up": a["block0.expert0.up"]}))),
+        lambda a: a.update({"block0.expert0.up": a["block0.up"]}))),
     ("misshaped-expert", _edit_arrays(
-        lambda a: a.update({"block0.expert1.up": a["block0.expert1.up"].T}))),
+        lambda a: a.update({"block0.up": a["block0.up"].T}))),
+    ("nan-adapter-weight", _set_entry("block0.up", np.nan)),
+    ("inf-adapter-weight", _set_entry("block0.down", -np.inf)),
+    ("version-2-file", _version_2),
     ("misshaped-base", _edit_arrays(
         lambda a: a.update({"wpe": a["wpe"][:-1]}))),
     ("altered-base-value", _edit_arrays(

@@ -1,9 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import loramix
+from loramix import training
 
 PACKAGE = Path(loramix.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +94,22 @@ def test_every_package_name_has_a_caller():
     read = [p.read_text(encoding="utf-8") for p in CALLERS]
     defining = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
     assert uncalled_names(defining, read) == []
+
+
+def test_benchmark_trace_hooks_resolve():
+    """Every method and function the benchmark's tracer wraps exists, so a
+    rename in the package cannot slip past until a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original_train = training.train
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_program_spans(tracer)
+        assert tracer._patches
+        for owner, attr, original in tracer._patches:
+            assert vars(owner)[attr] is not original, attr
+    finally:
+        tracer.uninstall()
+    assert training.train is original_train

@@ -65,6 +65,20 @@ class TestConstruction:
                            d_ff=16, max_seq_len=16)
 
 
+class TestTrainableParams:
+    @pytest.mark.parametrize("n_experts", [1, 4, 8])
+    def test_three_tensors_per_adapted_layer(self, n_experts):
+        cfg = ToyModelConfig(vocab_size=16, d_model=8, n_layers=2, n_heads=2,
+                             d_ff=16, max_seq_len=16, seed=0)
+        spec = AdapterSpec(n_experts=n_experts, top_k=1, rank=3, alpha=6.0)
+        params = ToyCausalLm(cfg, adapters=spec).trainable_params()
+        rows = 3 * n_experts
+        assert {name: arr.shape for name, arr in params.items()} == {
+            f"block{layer}.{name}": shape for layer in range(2)
+            for name, shape in (("down", (rows, 8)), ("up", (rows, 16)),
+                                ("router", (8, n_experts)))}
+
+
 class TestApplyUpdates:
     @pytest.mark.parametrize("spec", [
         TINY_ADAPTERS, ONE_EXPERT, None,
@@ -80,17 +94,20 @@ class TestApplyUpdates:
             assert arr is params[name], name
             assert np.array_equal(arr, new[name]), name
 
+    # Retired per-expert names, a base array, a layer the model lacks and
+    # a misshaped factor.
     @pytest.mark.parametrize("name,shape", [
         ("block0.expert1.up", (2, 16)),
         ("block0.expert2.up", (16, 2)),
         ("block0.ffn.w1", (16, 8)),
         ("block1.router.weights", (8, 2)),
+        ("block0.up", (16, 4)),
     ])
     def test_names_and_shapes_checked(self, name, shape):
         model = ToyCausalLm(TINY_CFG, adapters=TINY_ADAPTERS)
         before = {n: a.copy() for n, a in model.trainable_params().items()}
         with pytest.raises(ShapeError, match=name):
-            model.apply_updates({"block0.router.weights": np.ones((8, 2)),
+            model.apply_updates({"block0.router": np.ones((8, 2)),
                                  name: np.ones(shape)})
         for n, arr in model.trainable_params().items():
             assert np.array_equal(arr, before[n]), n

@@ -182,7 +182,7 @@ class TestGradientCheck:
         ex = TrainExample("Q: hm?\nA: ", "ok")
         assert gradient_check(model, ex) <= 1e-5
         _, grads = loss_and_grads(model, [encode_example(ex, 64)])
-        routers = [name for name in grads if name.endswith("router.weights")]
+        routers = [name for name in grads if name.endswith(".router")]
         assert len(routers) == 2
         for name in routers:
             assert not np.any(grads[name]), name
