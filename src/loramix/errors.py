@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 
@@ -57,9 +58,9 @@ _field_types = functools.cache(typing.get_type_hints)
 
 def _conforms(value, hint) -> bool:
     """Whether a parsed JSON value has the annotated type; an int may stand
-    for a float, and a bool is not an int."""
+    for a float, a bool is not an int, and NaN or inf is not a float."""
     if type(value) is hint:
-        return True
+        return hint is not float or math.isfinite(value)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_conforms(value, arg) for arg in args)

@@ -19,11 +19,12 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import seeding
-from .adapter import build_mixture, silu
+from .adapter import MixtureFfn, build_mixture, silu
 from .errors import ConfigError, ShapeError
 from .numerics import softmax_rows
 
@@ -31,6 +32,7 @@ Array = np.ndarray
 
 VOCAB_BYTES = 256
 NEWLINE = 10  # byte value used as the decode stop symbol
+RMS_EPS = 1e-6
 
 
 def encode_text(text: str) -> list[int]:
@@ -79,6 +81,8 @@ class AdapterSpec:
             raise ConfigError(
                 f"top_k={self.top_k} must lie in [1, {self.n_experts}]"
             )
+        if not np.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
 
 class FrozenFfn:
@@ -100,9 +104,8 @@ class FrozenFfn:
         return {}
 
 
-def _rms_forward(x: Array, gain: Array, eps: float = 1e-6
-                 ) -> tuple[Array, Array]:
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+def _rms_forward(x: Array, gain: Array) -> tuple[Array, Array]:
+    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
     return x / rms * gain, rms
 
 
@@ -138,18 +141,17 @@ class KvCache:
         return self.keys[0].shape[0] if self.keys else 0
 
 
+@dataclass
 class Block:
-    def __init__(self, g_attn: Array, wq: Array, wk: Array, wv: Array,
-                 wo: Array, g_ffn: Array, ffn):
-        for arr in (g_attn, wq, wk, wv, wo, g_ffn):
-            arr.setflags(write=False)
-        self.g_attn = g_attn
-        self.wq = wq
-        self.wk = wk
-        self.wv = wv
-        self.wo = wo
-        self.g_ffn = g_ffn
-        self.ffn = ffn
+    """One layer's frozen attention and norm arrays, and its FFN."""
+
+    g_attn: Array
+    wq: Array
+    wk: Array
+    wv: Array
+    wo: Array
+    g_ffn: Array
+    ffn: FrozenFfn | MixtureFfn
 
 
 class ToyCausalLm:
@@ -160,29 +162,32 @@ class ToyCausalLm:
                  base_weights: dict[str, Array] | None = None):
         self.cfg = cfg
         self.adapters = adapters
-        base = base_weights if base_weights is not None else _derive_base(cfg)
-        self.wte = _frozen(base["wte"], (cfg.vocab_size, cfg.d_model))
-        self.wpe = _frozen(base["wpe"], (cfg.max_seq_len, cfg.d_model))
-        self.g_final = _frozen(base["final.gain"], (cfg.d_model,))
-        self.w_unembed = _frozen(base["unembed.w"], (cfg.vocab_size, cfg.d_model))
-        self.blocks: list[Block] = []
-        for layer in range(cfg.n_layers):
-            p = f"block{layer}."
-            w1 = _frozen(base[p + "ffn.w1"], (cfg.d_ff, cfg.d_model))
-            w2 = _frozen(base[p + "ffn.w2"], (cfg.d_model, cfg.d_ff))
-            if adapters is None:
-                ffn = FrozenFfn(w1, w2)
+        layout = _base_layout(cfg)
+        if base_weights is None:
+            base_weights = _derive_base(layout, cfg.seed)
+        missing = [name for name in layout if name not in base_weights]
+        if missing:
+            raise ShapeError(f"base weights lack {missing}")
+        fields = [{} for _ in range(cfg.n_layers)]  # each block's arrays
+        projs = [{} for _ in range(cfg.n_layers)]   # its FFN's projections
+        for name, (layer, attr, shape, _, _) in layout.items():
+            arr = np.array(base_weights[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise ShapeError(f"base weight {name!r} has shape "
+                                 f"{arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+            if layer is None:
+                setattr(self, attr, arr)
+            elif attr.startswith("ffn."):
+                projs[layer][attr.removeprefix("ffn.")] = arr
             else:
-                ffn = build_mixture(w1, w2, adapters, cfg.seed, layer)
-            self.blocks.append(Block(
-                g_attn=_frozen(base[p + "attn.gain"], (cfg.d_model,)),
-                wq=_frozen(base[p + "attn.wq"], (cfg.d_model, cfg.d_model)),
-                wk=_frozen(base[p + "attn.wk"], (cfg.d_model, cfg.d_model)),
-                wv=_frozen(base[p + "attn.wv"], (cfg.d_model, cfg.d_model)),
-                wo=_frozen(base[p + "attn.wo"], (cfg.d_model, cfg.d_model)),
-                g_ffn=_frozen(base[p + "ffn.gain"], (cfg.d_model,)),
-                ffn=ffn,
-            ))
+                fields[layer][attr] = arr
+        self.blocks = [
+            Block(**fields[layer],
+                  ffn=FrozenFfn(**projs[layer]) if adapters is None
+                  else build_mixture(**projs[layer], spec=adapters,
+                                     seed=cfg.seed, layer_index=layer))
+            for layer in range(cfg.n_layers)]
         # Backward stops at this block; len(blocks) when nothing trains.
         self.lowest_trained = next(
             (layer for layer, b in enumerate(self.blocks) if b.ffn.trainable()),
@@ -191,19 +196,10 @@ class ToyCausalLm:
     # -- base weight bookkeeping ---------------------------------------------
 
     def base_arrays(self) -> dict[str, Array]:
-        out = {"wte": self.wte, "wpe": self.wpe, "final.gain": self.g_final,
-               "unembed.w": self.w_unembed}
-        for layer, b in enumerate(self.blocks):
-            p = f"block{layer}."
-            out[p + "attn.gain"] = b.g_attn
-            out[p + "attn.wq"] = b.wq
-            out[p + "attn.wk"] = b.wk
-            out[p + "attn.wv"] = b.wv
-            out[p + "attn.wo"] = b.wo
-            out[p + "ffn.gain"] = b.g_ffn
-            out[p + "ffn.w1"] = b.ffn.w1
-            out[p + "ffn.w2"] = b.ffn.w2
-        return out
+        """Every frozen tensor by name: the very arrays forward reads."""
+        return {name: attrgetter(attr)(
+                    self if layer is None else self.blocks[layer])
+                for name, (layer, attr, *_) in _base_layout(self.cfg).items()}
 
     def base_weight_sha256(self) -> str:
         h = hashlib.sha256()
@@ -404,36 +400,39 @@ class ToyCausalLm:
                                            max_new_tokens=max_new_tokens))
 
 
-def _frozen(arr: Array, shape: tuple[int, ...]) -> Array:
-    arr = np.array(arr, dtype=np.float64)
-    if arr.shape != shape:
-        raise ShapeError(f"base weight has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _derive_base(cfg: ToyModelConfig) -> dict[str, Array]:
-    d = cfg.d_model
-    base: dict[str, Array] = {}
-    base["wte"] = seeding.rng_for(cfg.seed, seeding.EMBEDDING).normal(
-        0.0, 0.1, size=(cfg.vocab_size, d))
-    base["wpe"] = seeding.rng_for(cfg.seed, seeding.POSITIONAL).normal(
-        0.0, 0.1, size=(cfg.max_seq_len, d))
+def _base_layout(cfg: ToyModelConfig) -> dict[str, tuple]:
+    """The one naming of the frozen base: each tensor's checkpoint name
+    mapped to (layer, attr, shape, key, std). The tensor is attribute
+    `attr` of the model when `layer` is None, else of that block, an
+    `ffn.` prefix reaching into its FFN. Its seeded value is normal with
+    `std` from the stream `seeding.rng_for(seed, *key)`, or ones for a
+    norm gain, whose key is None."""
+    d, d_ff, std = cfg.d_model, cfg.d_ff, 1.0 / np.sqrt(cfg.d_model)
+    layout = {
+        "wte": (None, "wte", (cfg.vocab_size, d), (seeding.EMBEDDING,), 0.1),
+        "wpe": (None, "wpe", (cfg.max_seq_len, d), (seeding.POSITIONAL,),
+                0.1),
+        "final.gain": (None, "g_final", (d,), None, None),
+        "unembed.w": (None, "w_unembed", (cfg.vocab_size, d),
+                      (seeding.UNEMBED,), std),
+    }
     for layer in range(cfg.n_layers):
         p = f"block{layer}."
-        attn_std = 1.0 / np.sqrt(d)
-        for idx, name in enumerate(("wq", "wk", "wv", "wo")):
-            rng = seeding.rng_for(cfg.seed, seeding.ATTENTION, layer, idx)
-            base[p + "attn." + name] = rng.normal(0.0, attn_std, size=(d, d))
-        base[p + "attn.gain"] = np.ones(d)
-        base[p + "ffn.gain"] = np.ones(d)
-        base[p + "ffn.w1"] = seeding.rng_for(
-            cfg.seed, seeding.FFN_BASE, layer, 0).normal(
-            0.0, attn_std, size=(cfg.d_ff, d))
-        base[p + "ffn.w2"] = seeding.rng_for(
-            cfg.seed, seeding.FFN_BASE, layer, 1).normal(
-            0.0, 1.0 / np.sqrt(cfg.d_ff), size=(d, cfg.d_ff))
-    base["final.gain"] = np.ones(d)
-    base["unembed.w"] = seeding.rng_for(cfg.seed, seeding.UNEMBED).normal(
-        0.0, 1.0 / np.sqrt(d), size=(cfg.vocab_size, d))
-    return base
+        layout[p + "attn.gain"] = (layer, "g_attn", (d,), None, None)
+        for idx, w in enumerate(("wq", "wk", "wv", "wo")):
+            layout[p + "attn." + w] = (layer, w, (d, d),
+                                       (seeding.ATTENTION, layer, idx), std)
+        layout[p + "ffn.gain"] = (layer, "g_ffn", (d,), None, None)
+        layout[p + "ffn.w1"] = (layer, "ffn.w1", (d_ff, d),
+                                (seeding.FFN_BASE, layer, 0), std)
+        layout[p + "ffn.w2"] = (layer, "ffn.w2", (d, d_ff),
+                                (seeding.FFN_BASE, layer, 1),
+                                1.0 / np.sqrt(d_ff))
+    return layout
+
+
+def _derive_base(layout: dict[str, tuple], seed: int) -> dict[str, Array]:
+    """Each frozen tensor's seeded value, drawn from its own stream."""
+    return {name: np.ones(shape) if key is None
+            else seeding.rng_for(seed, *key).normal(0.0, std, size=shape)
+            for name, (_, _, shape, key, std) in layout.items()}

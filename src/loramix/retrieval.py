@@ -179,10 +179,9 @@ class HttpEmbedderClient:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad embedder response: {exc}",
                               payload=raw) from exc
-        if vec.ndim != 1 or vec.shape[0] != self.dim:
-            raise FormatError(
-                f"embedder returned shape {vec.shape}, expected ({self.dim},)",
-                payload=raw)
+        if vec.shape != (self.dim,) or not np.isfinite(vec).all():
+            raise FormatError(f"embedder returned shape {vec.shape}, expected "
+                              f"({self.dim},), all finite", payload=raw)
         return vec
 
 

@@ -50,8 +50,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -283,7 +283,7 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     """Inverse of `save_checkpoint`; FormatError for a malformed config, a
     malformed weight file, array names other than the model's, a NaN or
     inf in a trainable array, or base weights whose sha256 is not the
-    recorded one."""
+    recorded one; ShapeError naming missing or misshaped base arrays."""
     directory = Path(directory)
     try:
         cfg_payload = json.loads((directory / "model_config.json").read_text())
@@ -301,10 +301,7 @@ def load_checkpoint(directory: str | Path) -> ToyCausalLm:
     spec = (None if adapter is None
             else from_fields(AdapterSpec, adapter, "checkpoint adapter"))
     arrays = _read_arrays(directory / "weights.bin")
-    try:
-        model = ToyCausalLm(cfg, adapters=spec, base_weights=arrays)
-    except KeyError as exc:
-        raise FormatError(f"checkpoint weights lack base array {exc}") from exc
+    model = ToyCausalLm(cfg, adapters=spec, base_weights=arrays)
     trainable = model.trainable_params()
     names = model.base_arrays().keys() | trainable.keys()
     missing, unknown = names - arrays.keys(), arrays.keys() - names

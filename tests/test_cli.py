@@ -83,6 +83,13 @@ REJECTED_KEYS = [
     ("train.n_experts", 2, ["train"]),
     ("gradcheck", {}, ["gradcheck"]),
 ]
+# Non-finite numbers, which Python's json reads as floats: (dotted key,
+# value, argv), each case's id carrying its value.
+NON_FINITE_KEYS = [
+    ("train.lr", float("nan"), ["train"]),
+    ("train.lr", float("inf"), ["train"]),
+    ("adapter.alpha", float("nan"), ["train"]),
+]
 
 # Client entries the HTTP clients could not take as they stand, each
 # refused with stub clients too: (dotted key, value, argv, name in error).
@@ -385,13 +392,17 @@ def _old_layout(path: Path) -> None:
     (path.parent / "adapters.json").write_text("[]\n")
 
 
-def _set_config(key, value):
-    """Edit setting a top-level key of the model_config.json beside the
+def _set_config(dotted, value):
+    """Edit setting a dotted key of the model_config.json beside the
     weights."""
     def edit(path: Path) -> None:
         config = path.parent / "model_config.json"
         payload = json.loads(config.read_text())
-        payload[key] = value
+        *sections, key = dotted.split(".")
+        target = payload
+        for section in sections:
+            target = target[section]
+        target[key] = value
         config.write_text(json.dumps(payload))
     return edit
 
@@ -434,6 +445,7 @@ CORRUPTIONS = [
     ("single-adapter-kind", _set_config("adapter_kind", "single")),
     ("old-adapter-kind", _set_config("adapter_kind", "mixture")),
     ("extra-top-level-key", _set_config("note", "x")),
+    ("nan-alpha", _set_config("adapter.alpha", float("nan"))),
     ("undecorated-empty-adapter", _undecorated(_set_config("adapter", {}))),
 ]
 
@@ -521,8 +533,10 @@ class TestConfigHandling:
         assert run(cfg, "curate") == 0 and run(cfg, "train") == 0
         return cfg
 
-    @pytest.mark.parametrize("dotted,value,argv", REJECTED_KEYS,
-                             ids=[case[0] for case in REJECTED_KEYS])
+    @pytest.mark.parametrize(
+        "dotted,value,argv", REJECTED_KEYS + NON_FINITE_KEYS,
+        ids=[case[0] for case in REJECTED_KEYS]
+        + [f"{case[0]}={case[1]}" for case in NON_FINITE_KEYS])
     def test_rejected_key_exits_two_naming_it(self, trained_config, tmp_path,
                                               capsys, dotted, value, argv):
         cfg = set_key(trained_config, dotted, value, tmp_path / "cfg.json")

@@ -6,6 +6,7 @@ import pytest
 
 import loramix
 from loramix import training
+from loramix.model import ToyCausalLm, ToyModelConfig
 
 PACKAGE = Path(loramix.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,3 +114,36 @@ def test_benchmark_trace_hooks_resolve():
     finally:
         tracer.uninstall()
     assert training.train is original_train
+
+
+# Every frozen tensor's name within its block, e.g. `attn.wq` for
+# `block0.attn.wq`.
+BASE_NAMES = {name.split(".", 1)[1] if name.startswith("block") else name
+              for name in ToyCausalLm(ToyModelConfig(n_layers=1),
+                                      adapters=None).base_arrays()}
+
+
+def base_name_literals(source: str) -> list[str]:
+    """String constants, f-string pieces included, that spell a frozen
+    tensor's name whole or after a dot."""
+    return sorted(
+        node.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(node.value == name or node.value.endswith("." + name)
+                for name in BASE_NAMES))
+
+
+def test_base_name_scan_sees_each_spelling():
+    source = ('a = arrays["block0.attn.wq"]\n'
+              'b = f"block{layer}.ffn.w1"\n'
+              'c = "wte"\n'
+              'd = "attn.wqs", "my_wte"\n')
+    assert base_name_literals(source) == [".ffn.w1", "block0.attn.wq", "wte"]
+
+
+def test_only_the_model_names_base_tensors():
+    """The model's layout table is the one place that names the frozen
+    tensors; every other module reads them through `base_arrays()`."""
+    spelled = {p.name: base_name_literals(p.read_text(encoding="utf-8"))
+               for p in MODULES if p.name != "model.py"}
+    assert {name: hits for name, hits in spelled.items() if hits} == {}

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from loramix.errors import ShapeError
 from loramix.model import (AdapterSpec, KvCache, ToyCausalLm, ToyModelConfig,
-                           _causal_mask, decode_tokens, encode_text)
+                           _base_layout, _causal_mask, decode_tokens,
+                           encode_text)
 from loramix.numerics import softmax_rows
 from loramix.training import TrainExample, gradient_check
 
@@ -54,6 +55,35 @@ class TestConstruction:
         lone = ToyCausalLm(TINY_CFG, adapters=ONE_EXPERT)
         assert bare.base_weight_sha256() == moe.base_weight_sha256()
         assert bare.base_weight_sha256() == lone.base_weight_sha256()
+
+    def test_base_arrays_are_the_layout(self):
+        names = set(_base_layout(TINY_CFG))
+        for spec in (None, ONE_EXPERT, TINY_ADAPTERS):
+            assert set(ToyCausalLm(TINY_CFG, spec).base_arrays()) == names
+
+    @pytest.mark.parametrize("spec", [
+        None, ONE_EXPERT, AdapterSpec(n_experts=4, top_k=2, rank=2, alpha=4.0),
+    ], ids=["none", "one-expert", "four-experts"])
+    def test_base_arrays_are_the_arrays_forward_reads(self, spec):
+        model = ToyCausalLm(TINY_CFG, spec)
+        held = [model.wte, model.wpe, model.g_final, model.w_unembed]
+        for b in model.blocks:
+            held += [b.g_attn, b.wq, b.wk, b.wv, b.wo, b.g_ffn,
+                     b.ffn.w1, b.ffn.w2]
+        assert (sorted(map(id, model.base_arrays().values()))
+                == sorted(map(id, held)))
+
+    def test_missing_base_array_named(self):
+        base = ToyCausalLm(TINY_CFG, None).base_arrays()
+        del base["block0.attn.wq"]
+        with pytest.raises(ShapeError, match="lack \\['block0.attn.wq'\\]"):
+            ToyCausalLm(TINY_CFG, TINY_ADAPTERS, base_weights=base)
+
+    def test_misshaped_base_array_named(self):
+        base = ToyCausalLm(TINY_CFG, None).base_arrays()
+        base["wpe"] = base["wpe"][:-1]
+        with pytest.raises(ShapeError, match="'wpe' has shape"):
+            ToyCausalLm(TINY_CFG, None, base_weights=base)
 
     def test_base_arrays_write_protected(self, tiny_model):
         with pytest.raises(ValueError):

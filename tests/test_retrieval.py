@@ -127,6 +127,15 @@ class TestHttpEmbedderClient:
             HttpEmbedderClient(self.URL, dim=3).embed("text")
         assert exc.value.payload == body.decode("utf-8")
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_vector_is_a_format_error(self, monkeypatch, bad):
+        body = f'{{"embedding": [{bad}, 0.6, 0.8]}}'.encode("utf-8")
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            FlakyUrlopen(failures=0, body=body))
+        with pytest.raises(FormatError, match="all finite") as exc:
+            HttpEmbedderClient(self.URL, dim=3).embed("text")
+        assert exc.value.payload == body.decode("utf-8")
+
     def test_returns_the_vector_of_a_good_reply(self, monkeypatch):
         body = json.dumps({"embedding": [0.0, 0.6, 0.8]}).encode("utf-8")
         urlopen = FlakyUrlopen(failures=HTTP_RETRIES, body=body)

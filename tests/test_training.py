@@ -162,6 +162,16 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            AdapterSpec(alpha=alpha)
+
     def test_bad_top_k(self):
         with pytest.raises(ConfigError):
             AdapterSpec(n_experts=2, top_k=3)
